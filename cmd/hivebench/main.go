@@ -33,7 +33,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // experimentReport is one experiment's entry in the -json output. Metrics
@@ -92,16 +91,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark report instead of tables")
 	outPath := flag.String("o", "", "write the -json report to a file instead of stdout")
 	tracePath := flag.String("trace", "", "write a Chrome trace of one node-failure trial, then exit")
-	shards := flag.String("shards", "", "engine mode for every experiment Hive: 0 = classic (default), N = sharded with N workers, auto = one worker per cell; deterministic metrics are identical at every positive value")
 	flag.Parse()
 
 	parallel.SetDefaultWorkers(*jobs)
-	nshards, err := workload.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hivebench:", err)
-		os.Exit(2)
-	}
-	workload.SetDefaultShards(nshards)
 
 	if *tracePath != "" {
 		tr := faultinject.RunTrialOpts(faultinject.NodeFailRandom, 0,
@@ -338,7 +330,7 @@ func main() {
 		}
 		c.metric("all_contained", allOK)
 		c.println(harness.FormatFrontend(rep))
-		c.println("open-loop arrivals in virtual time: the sweep is byte-identical at any -j/-shards;")
+		c.println("open-loop arrivals in virtual time: the sweep is byte-identical at any -j;")
 		c.println("the fault row kills a cell mid-surge and bounds the user-visible window by the restore time.")
 		c.println()
 	})
@@ -381,15 +373,8 @@ func main() {
 			c.metric("rpc_per_s_"+key, r.RPCPerSec)
 			c.metric("events_"+key, float64(r.Events))
 			c.metric("events_per_s_"+key, r.EventsPerSec)
-			// scale_sharded: the same pmake on the sharded engine. The
-			// dispatched-event counts and virtual timings are
-			// deterministic and gated; the wall-clock events/sec of both
-			// engine modes go to the ungated info section.
-			c.metric("pmake_s_sharded_"+key, r.ShardedPmakeSec)
-			c.metric("events_sharded_"+key, float64(r.ShardedEvents))
-			c.metric("events_per_s_sharded_"+key, r.ShardedEventsPerSec)
+			// The wall-clock events/sec goes to the ungated info section.
 			c.infoMetric("wall_events_per_s_classic_"+key, r.WallEventsPerSec)
-			c.infoMetric("wall_events_per_s_sharded_"+key, r.ShardedWallEventsPerSec)
 			c.metric("detect_ms_"+key, r.DetectMs)
 			c.metric("recovery_ms_"+key, r.RecoveryMs)
 			if !r.Contained {
@@ -399,8 +384,7 @@ func main() {
 		c.metric("all_contained", allContained)
 		c.println(harness.FormatScale(rows))
 		for _, r := range rows {
-			c.printf("engine rate at %d cells: classic %.0f ev/s (wall), sharded %.0f ev/s (wall, %d workers)\n",
-				r.Cells, r.WallEventsPerSec, r.ShardedWallEventsPerSec, workload.AutoShards(r.Cells))
+			c.printf("engine rate at %d cells: %.0f ev/s (wall)\n", r.Cells, r.WallEventsPerSec)
 		}
 		c.println("recovery cost grows with round membership; containment must hold at every size.")
 		c.println()

@@ -2,15 +2,14 @@
 // fault-containment verdicts purely from the structured trace
 // (internal/forensic) and cross-checks them against the fault-injection
 // harness's live-state verdicts, failing loudly on any disagreement.
-// It also renders the causal fault-propagation graph, the virtual-time
-// profile, and — on the sharded engine — the per-shard instrumentation
-// counters.
+// It also renders the causal fault-propagation graph and the virtual-time
+// profile.
 //
 // Usage:
 //
 //	hivemort                      # audit the full default campaign (137 trials)
 //	hivemort -trials 3            # 3 trials per scenario
-//	hivemort -cells 16 -shards auto  # audit a sharded 16-cell campaign
+//	hivemort -cells 16            # audit a 16-cell campaign
 //	hivemort -j 8                 # fan trials across 8 workers (same report at any -j)
 //	hivemort -scenario 4 -trial 2 # full forensic report for one trial
 //	hivemort -top 5               # top-5 span names per subsystem in profiles
@@ -31,9 +30,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/forensic"
 	"repro/internal/parallel"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // trialAudit is one trial's cross-check: the harness verdict (live kernel
@@ -50,8 +47,6 @@ type trialAudit struct {
 	Agree            bool             `json:"agree"`
 	Events           int              `json:"events"`
 	DroppedEvents    uint64           `json:"dropped_events"`
-
-	engine *sim.ClusterStats
 }
 
 // scenarioAudit aggregates one scenario's trials.
@@ -70,9 +65,9 @@ type scenarioAudit struct {
 }
 
 // mortReport is the -json document. The worker-count and wall-clock
-// fields ("jobs", "gomaxprocs", "shards", "total_wall_ms") are the only
-// run-shape-dependent ones, named to match the shard-identity gate's
-// strip pattern so gated diffs exclude exactly them.
+// fields ("jobs", "gomaxprocs", "total_wall_ms") are the only
+// run-shape-dependent ones, named to match the identity gate's strip
+// pattern so gated diffs exclude exactly them.
 type mortReport struct {
 	Name              string          `json:"name"`
 	GoVersion         string          `json:"go_version"`
@@ -80,7 +75,6 @@ type mortReport struct {
 	Jobs              int             `json:"jobs"`
 	TrialsPerScenario int             `json:"trials_per_scenario"`
 	Cells             int             `json:"cells"`
-	Shards            int             `json:"shards"`
 	Scenarios         []scenarioAudit `json:"scenarios"`
 	Trials            int             `json:"trials"`
 	Agreements        int             `json:"agreements"`
@@ -101,7 +95,6 @@ func main() {
 		outPath  = flag.String("o", "", "write the -json report to a file instead of stdout")
 		sweep    = flag.Bool("sweep", false, "audit a uniform (scenario × trial) grid instead of the default campaign")
 		points   = flag.Int("points", 220, "with -sweep: minimum grid points to cover")
-		shards   = flag.String("shards", "", "engine mode per trial: 0 = classic (default), N = sharded with N workers, auto = one worker per cell; verdicts are identical at every value")
 	)
 	flag.Parse()
 
@@ -111,15 +104,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hivemort: -cells %d: campaign needs 4..%d cells\n", *cells, core.MaxCells)
 		os.Exit(2)
 	}
-	nshards, err := workload.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hivemort:", err)
-		os.Exit(2)
-	}
-	if nshards == workload.ShardsAuto {
-		nshards = workload.AutoShards(*cells)
-	}
-	opts := faultinject.TrialOpts{Cells: *cells, Shards: nshards, KeepEvents: true, TraceCap: 1 << 16}
+	opts := faultinject.TrialOpts{Cells: *cells, KeepEvents: true, TraceCap: 1 << 16}
 
 	if *scenario >= 0 {
 		os.Exit(runSingle(faultinject.Scenario(*scenario), *trial, opts, *topN))
@@ -141,7 +126,6 @@ func main() {
 	var disagreements []string
 	var totalEvents int64
 	var totalDropped uint64
-	var engine *engineAgg
 	for _, row := range rows {
 		total += row.Tests
 		agreements += row.Agree
@@ -155,7 +139,6 @@ func main() {
 					t.Audit.Detected, t.Audit.Contained,
 					strings.Join(t.Audit.Evidence, "; ")))
 			}
-			engine = engine.add(t.engine)
 		}
 	}
 	allAgree := agreements == total
@@ -168,7 +151,6 @@ func main() {
 			Jobs:              parallel.Default().Workers(),
 			TrialsPerScenario: *trials,
 			Cells:             *cells,
-			Shards:            nshards,
 			Scenarios:         rows,
 			Trials:            total,
 			Agreements:        agreements,
@@ -198,7 +180,7 @@ func main() {
 	}
 
 	// Text report. Deliberately free of worker counts and wall-clock so it
-	// is byte-identical across -j and -shards.
+	// is byte-identical across -j.
 	fmt.Printf("hivemort: audited %d trials across %d scenarios from the trace alone\n", total, len(rows))
 	if totalDropped > 0 {
 		fmt.Printf("WARNING: %d events dropped by ring truncation — some walks may be incomplete\n", totalDropped)
@@ -242,11 +224,6 @@ func main() {
 		fmt.Println()
 	}
 
-	if engine != nil {
-		fmt.Print(engine.format())
-		fmt.Println()
-	}
-
 	exemplar := faultinject.AllScenarios()[0]
 	fmt.Printf("exemplar forensics — %s, trial 0:\n\n", exemplar)
 	tr := faultinject.RunTrialOpts(exemplar, 0, opts)
@@ -278,7 +255,6 @@ func auditScenario(s faultinject.Scenario, tests int, opts faultinject.TrialOpts
 			HarnessContained: tr.Contained,
 			Audit:            rep.Audit,
 			Events:           len(tr.Events),
-			engine:           tr.EngineStats,
 		}
 		for _, d := range tr.Dropped {
 			ta.DroppedEvents += d.Total()
@@ -313,11 +289,6 @@ func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, to
 	fmt.Printf("%s trial %d (seed %d, target cell %d):\n\n", s, trial, tr.Seed, tr.TargetCell)
 	fmt.Print(rep.Format(topN))
 	fmt.Println()
-	if tr.EngineStats != nil {
-		var agg *engineAgg
-		fmt.Print(agg.add(tr.EngineStats).format())
-		fmt.Println()
-	}
 	agree := rep.Audit.Detected == tr.Detected && rep.Audit.Contained == tr.Contained
 	fmt.Printf("harness: detected=%v contained=%v integrity=%v check=%v state=%v\n",
 		tr.Detected, tr.Contained, tr.IntegrityOK, tr.CorrectRunOK, tr.StateOK)
@@ -331,70 +302,4 @@ func runSingle(s faultinject.Scenario, trial int, opts faultinject.TrialOpts, to
 	}
 	fmt.Println("trace and harness agree.")
 	return 0
-}
-
-// engineAgg folds per-trial ClusterStats into campaign-wide per-shard
-// totals. All inputs are deterministic per trial and folded in trial
-// order, so the section is byte-identical across -j.
-type engineAgg struct {
-	trials    int
-	windows   uint64
-	lookahead sim.Time
-	shards    []shardAgg
-}
-
-type shardAgg struct {
-	active, dispatched, mailIn, mailOut, hops uint64
-	maxHeap                                   int
-}
-
-func (a *engineAgg) add(st *sim.ClusterStats) *engineAgg {
-	if st == nil {
-		return a
-	}
-	if a == nil {
-		a = &engineAgg{}
-	}
-	a.trials++
-	a.windows += st.Windows
-	a.lookahead = st.Lookahead
-	for i, s := range st.Shards {
-		for i >= len(a.shards) {
-			a.shards = append(a.shards, shardAgg{})
-		}
-		sh := &a.shards[i]
-		sh.active += s.ActiveWindows
-		sh.dispatched += s.Dispatched
-		sh.mailIn += s.MailIn
-		sh.mailOut += s.MailOut
-		sh.hops += s.Hops
-		if s.MaxHeap > sh.maxHeap {
-			sh.maxHeap = s.MaxHeap
-		}
-	}
-	return a
-}
-
-func (a *engineAgg) format() string {
-	if a == nil || a.windows == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "sharded engine: %d trials, %d lookahead windows total, window %v\n",
-		a.trials, a.windows, a.lookahead)
-	t := stats.NewTable("per-shard engine counters (campaign totals)",
-		"shard", "active", "idle-share", "dispatched", "mail-in", "mail-out", "hops", "max-heap")
-	for i, sh := range a.shards {
-		name := fmt.Sprintf("%d", i)
-		if i == 0 {
-			name = "0 (global)"
-		}
-		idle := 1 - float64(sh.active)/float64(a.windows)
-		t.AddRow(name, fmt.Sprintf("%d", sh.active), fmt.Sprintf("%.1f%%", idle*100),
-			fmt.Sprintf("%d", sh.dispatched), fmt.Sprintf("%d", sh.mailIn),
-			fmt.Sprintf("%d", sh.mailOut), fmt.Sprintf("%d", sh.hops),
-			fmt.Sprintf("%d", sh.maxHeap))
-	}
-	b.WriteString(t.String())
-	return b.String()
 }

@@ -32,16 +32,8 @@ func main() {
 		failAt = flag.Duration("failat", 2*time.Second, "virtual time of the fault")
 		stats  = flag.Bool("stats", false, "dump per-cell kernel counters")
 		trace  = flag.String("trace", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
-		shards = flag.String("shards", "", "engine mode: 0 = classic (default), N = sharded with N workers, auto = one worker per cell; output is identical at every value")
 	)
 	flag.Parse()
-
-	nshards, err := workload.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hivesim:", err)
-		os.Exit(2)
-	}
-	workload.SetDefaultShards(nshards)
 
 	var h *core.Hive
 	name := fmt.Sprintf("hive-%dcell", *cells)

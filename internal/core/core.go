@@ -66,16 +66,6 @@ type Config struct {
 	TraceCap int
 	// Seed drives all randomness.
 	Seed int64
-	// Shards selects the sharded execution engine: 0 boots the classic
-	// single-engine simulation (byte-identical to previous releases); any
-	// positive value boots one event heap per cell plus a global shard,
-	// with Shards OS worker threads driving the cell shards. The logical
-	// decomposition is always one shard per cell regardless of the worker
-	// count, so Shards=1 (the serial reference) and Shards=N produce
-	// byte-identical results — the flag only buys wall-clock parallelism.
-	// Negative values force the classic engine even where a harness-level
-	// default (workload.SetDefaultShards) would otherwise apply.
-	Shards int
 }
 
 // DefaultConfig is the paper's evaluation machine split into 4 cells with
@@ -93,12 +83,9 @@ func DefaultConfig() Config {
 // Hive is a booted system.
 type Hive struct {
 	Cfg Config
-	// Eng is the engine harness and workload code schedules on: the single
-	// engine of a classic run, or the global shard of a sharded run (whose
-	// tasks execute with every cell shard quiescent).
-	Eng *sim.Engine
-	// Clu is the shard cluster of a sharded run (nil in classic mode).
-	Clu   *sim.Cluster
+	// Eng is the simulation engine every cell, harness and workload
+	// schedules on.
+	Eng   *sim.Engine
 	M     *machine.Machine
 	Space *kmem.Space
 	Coord *membership.Coordinator
@@ -138,9 +125,9 @@ type Cell struct {
 
 	// PlaceTargets is Wax's process-placement hint: preferred spill cells
 	// (least-loaded first) for work this cell cannot or should not run
-	// locally. Installed through ApplyPlaceTargets in the global phase and
-	// read from this cell's own shard, like VM.AllocTargets. Advisory only:
-	// dispatchers fall back to any live cell when it is stale or empty.
+	// locally. Installed through ApplyPlaceTargets, like VM.AllocTargets.
+	// Advisory only: dispatchers fall back to any live cell when it is
+	// stale or empty.
 	PlaceTargets []int
 
 	failed  bool // fail-stop or forced stop
@@ -176,26 +163,7 @@ func Boot(cfg Config) *Hive {
 		// peers, but most traffic stays pairwise.
 		cfg.RPCServerPool = 4 + cfg.Cells/8
 	}
-	var clu *sim.Cluster
-	var eng *sim.Engine
-	if cfg.Shards > 0 {
-		// One logical shard per cell, lookahead = the machine's minimum
-		// cross-cell interaction latency (SIPS wire time). The worker
-		// count only changes how many OS threads drive the cell shards.
-		la := cfg.Machine.IPINs
-		if cfg.Machine.RemoteMissNs > la {
-			la = cfg.Machine.RemoteMissNs
-		}
-		if la <= 0 {
-			panic("core: sharded run needs a positive wire latency for lookahead")
-		}
-		clu = sim.NewCluster(cfg.Seed, cfg.Cells, la)
-		clu.SetWorkers(cfg.Shards)
-		//hive:lint-ignore shardcross boot-time wiring: no worker has started yet
-		eng = clu.Global()
-	} else {
-		eng = sim.NewEngine(cfg.Seed)
-	}
+	eng := sim.NewEngine(cfg.Seed)
 	m := machine.New(eng, cfg.Machine)
 	if cfg.KernelPagesPerNode == 0 {
 		cfg.KernelPagesPerNode = m.PagesPerNode / 4
@@ -203,29 +171,17 @@ func Boot(cfg Config) *Hive {
 	h := &Hive{
 		Cfg:   cfg,
 		Eng:   eng,
-		Clu:   clu,
 		M:     m,
 		Space: kmem.NewSpace(cfg.Cells),
 		Coord: membership.NewCoordinator(cfg.Cells, nodePartition(cfg.Machine.Nodes, cfg.Cells), cfg.Agreement),
 	}
 	h.Trace = trace.NewSet(cfg.Cells, cfg.TraceCap)
-	if clu != nil {
-		h.Trace.Sharded()
-	}
 	h.Coord.AutoReintegrate = cfg.AutoReintegrate
 	h.Coord.BrokenHardware = map[int]bool{}
 	h.CellOfNode = make([]int, cfg.Machine.Nodes)
 	nodesPerCell := cfg.Machine.Nodes / cfg.Cells
 	for n := range h.CellOfNode {
 		h.CellOfNode[n] = n / nodesPerCell
-	}
-	if clu != nil {
-		// Bind every node — its processors, disk, and timed events — to
-		// its cell's shard before any kernel subsystem captures them.
-		for n := 0; n < cfg.Machine.Nodes; n++ {
-			//hive:lint-ignore shardcross boot-time wiring: no worker has started yet
-			m.BindShard(n, clu.Shard(h.CellOfNode[n]+1))
-		}
 	}
 	// Hardware events (firewall updates, SIPS sends) record on the track
 	// of the cell owning the issuing node.
@@ -334,7 +290,7 @@ func (h *Hive) buildCell(c *Cell) {
 	c.VM.Tracer = c.Tracer
 	c.FS = fs.New(h.M, c.EP, c.VM, id, h.Cfg.Mounts, h.M.Nodes[nodes[0]].Disk)
 	c.Sched = sched.New(id, procs)
-	c.Reader = &careful.Reader{M: h.M, Space: h.Space, CellEngine: h.cellEngine, Tracer: c.Tracer}
+	c.Reader = &careful.Reader{M: h.M, Space: h.Space, Tracer: c.Tracer}
 	c.COW = cow.New(h.M, c.EP, c.VM, h.Space, c.Reader, id)
 	c.Procs = proc.NewTable(id, h.Cfg.Cells, c.EP, c.Sched, c.FS, c.COW, c.VM)
 	c.Mon = membership.NewMonitor(h.M, c.EP, h.Coord, id, nodes)
@@ -400,17 +356,6 @@ func (h *Hive) buildCell(c *Cell) {
 	}
 }
 
-// cellEngine returns the engine whose shard owns a cell's state: the cell's
-// own shard in a sharded run, the single engine otherwise. Used by careful
-// readers to hop before touching a remote cell's memory.
-func (h *Hive) cellEngine(cell int) *sim.Engine {
-	if cell < 0 || cell >= h.Cfg.Cells {
-		return nil
-	}
-	nodesPerCell := h.Cfg.Machine.Nodes / h.Cfg.Cells
-	return h.M.NodeEngine(cell * nodesPerCell)
-}
-
 // liveProc returns a non-halted processor of the cell.
 func (c *Cell) liveProc() *machine.Processor {
 	for _, n := range c.Nodes {
@@ -450,8 +395,6 @@ func (c *Cell) MarkCorrupt() {
 // FailHardware injects a fail-stop hardware fault: every node of the cell
 // halts and its memory becomes inaccessible (§7.4's hardware fault
 // injection). Survivor detection happens through the normal hint channels.
-// In a sharded run it must be called from the global shard (fault injectors
-// and harnesses run there), whose tasks execute with every cell quiescent.
 func (c *Cell) FailHardware() {
 	c.failed = true
 	c.Tracer.Emit(c.Hive.Eng.Now(), trace.Inject, int64(c.ID), 0, "hw-fail")
@@ -470,25 +413,6 @@ func (c *Cell) FailHardware() {
 // The teardown runs from engine context so a kernel task may panic its own
 // cell and unwind cleanly.
 func (c *Cell) Panic(reason string) {
-	if eng := c.EP.Engine(); eng.Cluster() != nil && eng.ShardID() != 0 {
-		// Sharded run, panicking from the cell's own shard: c.failed and
-		// the node cutoff flags are cross-shard-readable, so the whole
-		// teardown runs in the global phase (every cell shard quiescent).
-		eng.SendGlobal(func() {
-			if c.failed {
-				return
-			}
-			c.failed = true
-			c.Tracer.Emit(c.Hive.Eng.Now(), trace.Panic, 0, 0, reason)
-			c.Metrics.Counter("cell.panics").Inc()
-			for _, n := range c.Nodes {
-				c.Hive.M.Nodes[n].EngageCutoff()
-			}
-			c.shutdownKernel()
-			c.Hive.Coord.CellDiedMidRound(c.ID)
-		})
-		return
-	}
 	if c.failed {
 		return
 	}
@@ -579,22 +503,12 @@ func (c *Cell) Reboot() {
 }
 
 // Now returns the current virtual time.
-func (h *Hive) Now() sim.Time {
-	if h.Clu != nil {
-		return h.Clu.Now()
-	}
-	return h.Eng.Now()
-}
+func (h *Hive) Now() sim.Time { return h.Eng.Now() }
 
 // Run advances the simulation to the given deadline (0 = until idle).
 // Note: the cells' clock tasks tick forever, so a deadline is required for
 // a booted Hive.
-func (h *Hive) Run(deadline sim.Time) sim.Time {
-	if h.Clu != nil {
-		return h.Clu.Run(deadline)
-	}
-	return h.Eng.Run(deadline)
-}
+func (h *Hive) Run(deadline sim.Time) sim.Time { return h.Eng.Run(deadline) }
 
 // RunUntil advances simulation in 1 ms steps until cond holds or the
 // deadline passes, reporting whether cond held.

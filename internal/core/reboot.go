@@ -101,9 +101,8 @@ func (rb *Rebooter) noteDeath(cell int) {
 	})
 }
 
-// loop runs on the global engine (classic: the only engine; sharded: the
-// global shard, whose tasks execute with every cell shard quiescent), so it
-// may read coordinator and machine state directly.
+// loop runs as a task on the Hive's engine and reads coordinator and
+// machine state directly.
 func (rb *Rebooter) loop(t *sim.Task, cell int, deadAt sim.Time) {
 	h := rb.h
 	c := h.Cells[cell]
@@ -125,7 +124,7 @@ func (rb *Rebooter) loop(t *sim.Task, cell int, deadAt sim.Time) {
 		}
 		commit, seq := h.Coord.RequestJoin(cell)
 		mon := c.Mon
-		h.cellEngine(cell).Go(fmt.Sprintf("cell%d.announce", cell), func(at *sim.Task) {
+		h.Eng.Go(fmt.Sprintf("cell%d.announce", cell), func(at *sim.Task) {
 			mon.AnnounceJoin(at, seq)
 		})
 		v, _ := commit.Wait(t)
@@ -156,15 +155,15 @@ func (rb *Rebooter) loop(t *sim.Task, cell int, deadAt sim.Time) {
 // warmUp re-stripes capacity onto the rejoined cell: each survivor
 // migrates a slice of its page cache into frames borrowed from the joiner
 // (vm.RebalanceToward) and re-creates its striped-file components homed
-// there (fs.RestripeFor). The work runs asynchronously on each peer's own
-// shard — warm-up is a background repair, not part of the commit.
+// there (fs.RestripeFor). The work runs asynchronously in a task per peer —
+// warm-up is a background repair, not part of the commit.
 func (rb *Rebooter) warmUp(t *sim.Task, cell int) {
 	for _, peer := range rb.h.Cells {
 		if peer.ID == cell || peer.Failed() {
 			continue
 		}
 		p := peer
-		rb.h.cellEngine(p.ID).Go(fmt.Sprintf("cell%d.warm%d", p.ID, cell), func(wt *sim.Task) {
+		rb.h.Eng.Go(fmt.Sprintf("cell%d.warm%d", p.ID, cell), func(wt *sim.Task) {
 			p.VM.RebalanceToward(wt, cell, rb.Policy.WarmPages)
 			p.FS.RestripeFor(wt, cell)
 		})

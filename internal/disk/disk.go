@@ -54,11 +54,6 @@ func New(e *sim.Engine, cfg Config) *Drive {
 	return &Drive{cfg: cfg, eng: e, busy: &sim.Mutex{}}
 }
 
-// Rebind moves the drive onto another engine. Sharded boots call it (via
-// machine.BindShard) so each node's drive draws rotational latency from its
-// owning cell's shard RNG and schedules on that shard's heap.
-func (d *Drive) Rebind(e *sim.Engine) { d.eng = e }
-
 // Capacity returns the drive size in bytes.
 func (d *Drive) Capacity() int64 {
 	c := d.cfg

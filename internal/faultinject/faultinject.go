@@ -10,7 +10,6 @@ package faultinject
 import (
 	"bytes"
 	"fmt"
-	"hash"
 	"hash/fnv"
 
 	"repro/internal/core"
@@ -140,9 +139,6 @@ type TrialResult struct {
 	Cells   int
 	Events  []trace.Event
 	Dropped []trace.DropCount
-	// EngineStats holds the sharded-engine instrumentation snapshot
-	// (sharded trials with KeepEvents or KeepTrace; nil otherwise).
-	EngineStats *sim.ClusterStats
 }
 
 // OK reports full containment per the paper's criterion, plus the
@@ -186,11 +182,6 @@ type TrialOpts struct {
 	// rejected — the methodology needs two file-server cells plus at
 	// least two candidate victims.
 	Cells int
-	// Shards boots the trial's Hive on the sharded engine with this many
-	// worker threads (0 = classic single engine). The derived seed is
-	// independent of Shards, so runs at different worker counts are
-	// directly comparable — and must be byte-identical.
-	Shards int
 }
 
 // RunTrial executes one injection trial from a fresh boot.
@@ -221,9 +212,6 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 	h := workload.BootHiveWith(cells, seed, func(cfg *core.Config) {
 		if opts.TraceCap > 0 {
 			cfg.TraceCap = opts.TraceCap
-		}
-		if opts.Shards > 0 {
-			cfg.Shards = opts.Shards
 		}
 		if s == CoordinatorDeath {
 			// The recovery master (cell 0) is itself a casualty here, so
@@ -260,43 +248,16 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		res.TargetCell = 1
 	}
 	if opts.TraceHash {
-		if h.Clu != nil {
-			// One hasher per shard: each shard's dispatch order is
-			// deterministic on its own, while the wall-clock interleaving
-			// across shards is not. Folding the per-shard digests in shard
-			// order yields a witness identical at any worker count.
-			ths := make([]hash.Hash64, h.Clu.NumShards()+1)
-			for i := range ths {
-				th := fnv.New64a()
-				ths[i] = th
-				//hive:lint-ignore shardcross observability hook installed before the run starts
-				h.Clu.Shard(i).Trace = func(at sim.Time, what string) {
-					fmt.Fprintf(th, "%d:%s\n", at, what)
-				}
-			}
-			defer func() {
-				sum := fnv.New64a()
-				for _, th := range ths {
-					fmt.Fprintf(sum, "%x\n", th.Sum64())
-				}
-				res.TraceHash = sum.Sum64()
-			}()
-		} else {
-			th := fnv.New64a()
-			h.Eng.Trace = func(at sim.Time, what string) {
-				fmt.Fprintf(th, "%d:%s\n", at, what)
-			}
-			defer func() { res.TraceHash = th.Sum64() }()
+		th := fnv.New64a()
+		h.Eng.Trace = func(at sim.Time, what string) {
+			fmt.Fprintf(th, "%d:%s\n", at, what)
 		}
+		defer func() { res.TraceHash = th.Sum64() }()
 	}
 	if opts.KeepTrace {
 		defer func() {
 			var buf bytes.Buffer
-			var tracks []trace.CounterTrack
-			if res.EngineStats != nil {
-				tracks = trace.EngineCounterTracks(*res.EngineStats)
-			}
-			if err := h.Trace.ExportChromeWith(&buf, tracks); err == nil {
+			if err := h.Trace.ExportChrome(&buf); err == nil {
 				res.TraceJSON = buf.Bytes()
 			}
 		}()
@@ -305,15 +266,6 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		defer func() {
 			res.Events = h.Trace.Merged()
 			res.Dropped = h.Trace.Dropped()
-		}()
-	}
-	if h.Clu != nil && (opts.KeepTrace || opts.KeepEvents) {
-		// Registered after the export defers so it runs before them
-		// (LIFO): the Chrome export embeds these counters as Perfetto
-		// counter tracks.
-		defer func() {
-			st := h.Clu.Stats()
-			res.EngineStats = &st
 		}()
 	}
 	// Targets rotate over cells 1..cells-2: none host /usr (cell 0) or
@@ -351,11 +303,9 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 	case NodeFailProcCreate:
 		cfg := workload.DefaultPmake()
 		victim := 2 + trial%6 // vary which job's creation triggers it
-		cfg.InjectHook = func(t *sim.Task, job int) {
+		cfg.InjectHook = func(job int) {
 			if job == victim {
-				// FailHardware touches every cell's state: hop to the
-				// global phase (inline in classic mode).
-				t.Engine().Global(t, inject)
+				inject()
 			}
 		}
 		wl = workload.RunPmake(h, cfg, 60*sim.Second)
@@ -373,13 +323,9 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		// (scratch growth): detection races the search against the
 		// clock monitor's bus error, as in the paper's narrow 10-11 ms
 		// band.
-		cfg.ForkHook = func(t *sim.Task, worker int) {
+		cfg.ForkHook = func(worker int) {
 			if worker == 3 {
-				// The timer lives on the machine-global heap (and rng is
-				// the global engine's): hop to the global phase to arm it.
-				t.Engine().Global(t, func() {
-					h.Eng.After(sim.Time(1500+rng.Intn(1500))*sim.Millisecond, inject)
-				})
+				h.Eng.After(sim.Time(1500+rng.Intn(1500))*sim.Millisecond, inject)
 			}
 		}
 		wl = workload.RunRaytrace(h, cfg, 60*sim.Second)
@@ -401,18 +347,14 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 		cfg.MainCell = target
 		at := sim.Time(400+rng.Intn(1500)) * sim.Millisecond
 		var sceneRoot kmem.Addr
-		cfg.ForkHook = func(t *sim.Task, worker int) {
+		cfg.ForkHook = func(worker int) {
 			if worker == 0 {
 				// The parent's pre-fork leaf (now interior) is the
 				// scene root every worker's search passes through.
-				// sceneRoot is read by a global-heap timer, so take the
-				// snapshot in the global phase (inline in classic mode).
-				t.Engine().Global(t, func() {
-					h.Cells[target].Procs.Each(func(p *proc.Process) {
-						if p.Name == "rt.main" {
-							sceneRoot = rootOf(h, p)
-						}
-					})
+				h.Cells[target].Procs.Each(func(p *proc.Process) {
+					if p.Name == "rt.main" {
+						sceneRoot = rootOf(h, p)
+					}
 				})
 			}
 		}
@@ -937,9 +879,7 @@ func RunScenarioCellsWith(r *parallel.Runner, s Scenario, tests, cells int) *Cam
 	return RunScenarioOptsWith(r, s, tests, TrialOpts{Cells: cells})
 }
 
-// RunScenarioOptsWith runs a scenario's trials with shared TrialOpts — the
-// entry point for sharded-engine campaigns (the shard-identity gate runs
-// the same trials at different worker counts and diffs the rows).
+// RunScenarioOptsWith runs a scenario's trials with shared TrialOpts.
 func RunScenarioOptsWith(r *parallel.Runner, s Scenario, tests int, opts TrialOpts) *CampaignRow {
 	trials := parallel.Map(r, tests, func(i int) *TrialResult {
 		return RunTrialOpts(s, i, opts)

@@ -145,22 +145,6 @@ type msgInjector struct {
 	seq     int      // messages seen in the window (storm pattern index)
 	fired   int      // faults actually injected
 	firstAt sim.Time // time of the first injection
-
-	// lanes holds a sharded run's injection state, one lane per source
-	// cell (see laneDecide); nil in classic runs.
-	lanes []msgLane
-}
-
-// msgLane is one source cell's independent injection state in a sharded
-// run. The fault hook fires on the sending cell's shard, so per-source
-// state keeps each decision a pure function of that shard's own message
-// stream and clock — race-free and identical at any worker count.
-type msgLane struct {
-	seq     int
-	budget  int
-	until   sim.Time
-	fired   int
-	firstAt sim.Time
 }
 
 // armMsgFaults installs a fault hook for one of the message scenarios.
@@ -196,30 +180,14 @@ func armMsgFaults(h *core.Hive, s Scenario, target int, rng *rand.Rand) *msgInje
 		// nobody; containment is judged globally either way).
 		inj.target = -1
 	}
-	if h.Clu != nil {
-		inj.lanes = make([]msgLane, len(h.Cells))
-		for i := range inj.lanes {
-			inj.lanes[i].budget = inj.budget
-		}
-	}
 	h.M.FaultHook = inj.decide
 	return inj
 }
 
-// disarm removes the hook (before the post-fault correctness check) and, in
-// a sharded run, folds the per-lane tallies into the trial totals: fired is
-// the sum over lanes, firstAt the minimum virtual injection time — both
-// deterministic once each lane's stream is.
+// disarm removes the hook (before the post-fault correctness check).
 func (in *msgInjector) disarm() {
 	in.active = false
 	in.h.M.FaultHook = nil
-	for i := range in.lanes {
-		l := &in.lanes[i]
-		in.fired += l.fired
-		if l.fired > 0 && (in.firstAt == 0 || l.firstAt < in.firstAt) {
-			in.firstAt = l.firstAt
-		}
-	}
 }
 
 // retrySafe reports whether losing msg is recoverable above the wire: only
@@ -251,9 +219,6 @@ func (in *msgInjector) hit(d machine.MsgFaultDecision) machine.MsgFaultDecision 
 
 // decide is the machine.FaultHook entry point.
 func (in *msgInjector) decide(msg *machine.SIPSMsg) machine.MsgFaultDecision {
-	if in.lanes != nil {
-		return in.laneDecide(msg)
-	}
 	if !in.active || in.budget <= 0 {
 		return machine.MsgFaultDecision{}
 	}
@@ -281,70 +246,6 @@ func (in *msgInjector) decide(msg *machine.SIPSMsg) machine.MsgFaultDecision {
 		}
 	}
 	return in.hit(machine.MsgFaultDecision{Fault: in.mode})
-}
-
-// laneDecide is the sharded-run decision path: the hook runs on the sending
-// cell's shard, so only that source's lane is touched and all times come
-// from the source shard's own clock. Each lane carries the full budget and
-// (for storms) opens its own 25 ms window at its first message at or after
-// the arming time.
-func (in *msgInjector) laneDecide(msg *machine.SIPSMsg) machine.MsgFaultDecision {
-	if !in.active {
-		return machine.MsgFaultDecision{}
-	}
-	srcNode := in.h.M.Procs[msg.From].Node.ID
-	lane := &in.lanes[in.h.CellOfNode[srcNode]]
-	if lane.budget <= 0 {
-		return machine.MsgFaultDecision{}
-	}
-	now := in.h.M.NodeEngine(srcNode).Now()
-	if now < in.armAt || (lane.until > 0 && now > lane.until) {
-		return machine.MsgFaultDecision{}
-	}
-	if in.target >= 0 && in.destCell(msg) != in.target {
-		return machine.MsgFaultDecision{}
-	}
-	hit := func(d machine.MsgFaultDecision) machine.MsgFaultDecision {
-		if lane.fired == 0 {
-			lane.firstAt = now
-		}
-		lane.fired++
-		lane.budget--
-		return d
-	}
-	if in.storm {
-		if lane.until == 0 {
-			lane.until = now + 25*sim.Millisecond
-		}
-		lane.seq++
-		switch lane.seq % 5 {
-		case 0:
-			return hit(machine.MsgFaultDecision{Fault: machine.FaultDup})
-		case 1:
-			return hit(machine.MsgFaultDecision{Fault: machine.FaultDelay, Delay: 200 * sim.Microsecond})
-		case 2:
-			if in.retrySafe(msg) {
-				return hit(machine.MsgFaultDecision{Fault: machine.FaultDrop})
-			}
-			return hit(machine.MsgFaultDecision{Fault: machine.FaultDelay, Delay: 100 * sim.Microsecond})
-		case 3:
-			if in.retrySafe(msg) {
-				return hit(machine.MsgFaultDecision{Fault: machine.FaultCorrupt})
-			}
-		}
-		return machine.MsgFaultDecision{}
-	}
-	switch in.mode {
-	case machine.FaultDrop, machine.FaultCorrupt:
-		if !in.retrySafe(msg) {
-			return machine.MsgFaultDecision{}
-		}
-	case machine.FaultDup:
-		if _, ok := rpc.ClassifySIPS(msg); !ok {
-			return machine.MsgFaultDecision{}
-		}
-	}
-	return hit(machine.MsgFaultDecision{Fault: in.mode})
 }
 
 // stormDecide mixes fault kinds over the stream in a fixed pattern:
@@ -389,9 +290,8 @@ const (
 )
 
 // startLatencyProbe spawns the probe on cell 0. The sample slice is only
-// ever touched by the probe task (cell 0's shard) while the engine runs,
-// and only read by the harness when it is stopped — race-free and
-// deterministic at any worker count.
+// ever touched by the probe task while the engine runs, and only read by
+// the harness when it is stopped.
 func startLatencyProbe(h *core.Hive) *latencyProbe {
 	pr := &latencyProbe{}
 	h.Cells[0].Procs.Spawn("probe", 903, func(p *proc.Process, t *sim.Task) {

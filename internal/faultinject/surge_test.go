@@ -32,20 +32,3 @@ func TestSurgeFaultContained(t *testing.T) {
 		t.Error("frontend latency p99 not measured")
 	}
 }
-
-// TestSurgeFaultShardIdentity requires the surge trial's verdict and
-// frontend metrics to be identical between the 1-shard engine and a
-// 4-way sharded run.
-func TestSurgeFaultShardIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded surge trials; skipped with -short")
-	}
-	a := RunTrialOpts(SurgeFault, 1, TrialOpts{Shards: 1})
-	b := RunTrialOpts(SurgeFault, 1, TrialOpts{Shards: 4})
-	if a.OK() != b.OK() || a.FeIssued != b.FeIssued || a.FeCompleted != b.FeCompleted ||
-		a.FeWindowMs != b.FeWindowMs || a.FeP99Us != b.FeP99Us || a.Rejoins != b.Rejoins {
-		t.Errorf("shard mismatch: ok=%v/%v issued=%d/%d done=%d/%d window=%v/%v p99=%v/%v rejoins=%d/%d",
-			a.OK(), b.OK(), a.FeIssued, b.FeIssued, a.FeCompleted, b.FeCompleted,
-			a.FeWindowMs, b.FeWindowMs, a.FeP99Us, b.FeP99Us, a.Rejoins, b.Rejoins)
-	}
-}

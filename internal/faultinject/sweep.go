@@ -28,10 +28,6 @@ type SweepOpts struct {
 	// MinimizeAttempts bounds the candidate seeds tried when minimizing
 	// a failure (default 8).
 	MinimizeAttempts int
-	// Shards selects the engine mode per trial (0 = classic, N = sharded
-	// with N workers). The witness hash is identical at every value — the
-	// sweep-level arm of the shard-identity gate.
-	Shards int
 }
 
 // SweepFailure is one failing grid point, minimized.
@@ -87,7 +83,7 @@ func Sweep(opts SweepOpts) *SweepReport {
 	}
 	n := len(scen) * per
 	trials := parallel.Map(r, n, func(i int) *TrialResult {
-		return RunTrialOpts(scen[i/per], i%per, TrialOpts{Shards: opts.Shards})
+		return RunTrial(scen[i/per], i%per)
 	})
 
 	rep := &SweepReport{Points: n}
@@ -105,16 +101,15 @@ func Sweep(opts SweepOpts) *SweepReport {
 			rep.Rows[i/per].OK++
 			continue
 		}
-		rep.Failures = append(rep.Failures, minimize(tr, i%per, opts.MinimizeAttempts, opts.Shards))
+		rep.Failures = append(rep.Failures, minimize(tr, i%per, opts.MinimizeAttempts))
 	}
 	rep.Hash = w.Sum64()
 	return rep
 }
 
 // minimize searches ascending candidate seeds for the smallest one that
-// still reproduces the failure at the same grid point (on the same engine
-// mode the sweep ran).
-func minimize(tr *TrialResult, trial, attempts, shards int) *SweepFailure {
+// still reproduces the failure at the same grid point.
+func minimize(tr *TrialResult, trial, attempts int) *SweepFailure {
 	if attempts <= 0 {
 		attempts = 8
 	}
@@ -126,7 +121,7 @@ func minimize(tr *TrialResult, trial, attempts, shards int) *SweepFailure {
 		MinSeed:  tr.Seed,
 	}
 	for cand := int64(1); cand <= int64(attempts) && cand < tr.Seed; cand++ {
-		if rt := RunTrialOpts(tr.Scenario, trial, TrialOpts{Seed: cand, Shards: shards}); !rt.OK() {
+		if rt := RunTrialOpts(tr.Scenario, trial, TrialOpts{Seed: cand}); !rt.OK() {
 			f.MinSeed = cand
 			f.Minimized = true
 			f.MinNotes = rt.Notes

@@ -22,13 +22,12 @@ func TestScaleDeterminism(t *testing.T) {
 		defer parallel.SetDefaultWorkers(0)
 		rows := RunScale(counts, 1)
 		for i := range rows {
-			// The wall-clock dispatch rates are the rows' only
-			// non-deterministic fields; everything else must be identical.
-			if rows[i].WallEventsPerSec <= 0 || rows[i].ShardedWallEventsPerSec <= 0 {
-				t.Errorf("row %d missing wall dispatch rates: %+v", i, rows[i])
+			// The wall-clock dispatch rate is the rows' only
+			// non-deterministic field; everything else must be identical.
+			if rows[i].WallEventsPerSec <= 0 {
+				t.Errorf("row %d missing wall dispatch rate: %+v", i, rows[i])
 			}
 			rows[i].WallEventsPerSec = 0
-			rows[i].ShardedWallEventsPerSec = 0
 		}
 		return fmt.Sprintf("%+v\n%s", rows, FormatScale(rows))
 	}

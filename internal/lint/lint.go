@@ -5,7 +5,7 @@
 //
 // DESIGN.md §1 claims every experiment is "fully deterministic (seeded
 // PRNG, strictly ordered event queue)". That property used to be
-// enforced only by convention; hivelint makes it machine-checked. Seven
+// enforced only by convention; hivelint makes it machine-checked. Six
 // per-package analyzers police the hazards that break reproducibility or
 // erode the layering the design depends on:
 //
@@ -15,8 +15,6 @@
 //	rawconc     no raw goroutines/channels/sync outside sim & parallel
 //	stablesort  no unstable sorts whose tie order is Go-version-dependent
 //	layering    the DESIGN.md §2 import DAG, substrates below core
-//	shardcross  cross-shard work through the mailbox only, never a raw
-//	            shard engine pulled from the cluster
 //
 // On top of those, an interprocedural layer (a module-wide call graph
 // plus a conservative taint engine, see callgraph.go and taint.go)
@@ -29,8 +27,6 @@
 //	             before it mutates kernel state (distrust other cells)
 //	errdrop      RPC call errors (ErrTimeout/ErrShutdown) are never
 //	             silently discarded — a dropped failure erodes containment
-//	shardescape  closures crossing shards via Engine.Send/SendGlobal do
-//	             not capture shard-local mutable state by reference
 //
 // The suite runs three ways: the cmd/hivelint CLI (with -json), the
 // `make lint` target, and an in-tree self-test that lints the whole
@@ -90,8 +86,8 @@ type Analyzer struct {
 // per-package syntactic checks first, then the interprocedural layer.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{walltimeAnalyzer, globalrandAnalyzer, maporderAnalyzer,
-		rawconcAnalyzer, stablesortAnalyzer, layeringAnalyzer, shardcrossAnalyzer,
-		carefulrefAnalyzer, rpctaintAnalyzer, errdropAnalyzer, shardescapeAnalyzer}
+		rawconcAnalyzer, stablesortAnalyzer, layeringAnalyzer,
+		carefulrefAnalyzer, rpctaintAnalyzer, errdropAnalyzer}
 }
 
 // AnalyzerNames returns the suite's analyzer names sorted alphabetically
@@ -115,11 +111,6 @@ type Config struct {
 	// RawconcAllow lists import paths allowed to use goroutines,
 	// channels and sync primitives directly.
 	RawconcAllow map[string]bool
-	// ShardcrossAllow lists import paths allowed to pull raw shard
-	// engines out of a sim.Cluster (the sim package itself). The same
-	// paths are exempt from shardescape: the mailbox implementation
-	// necessarily handles crossing closures directly.
-	ShardcrossAllow map[string]bool
 	// CarefulAllow lists import paths allowed to read kmem arenas raw:
 	// the careful package (it implements the protocol) and kmem itself.
 	CarefulAllow map[string]bool
@@ -139,10 +130,7 @@ func DefaultConfig() *Config {
 		RawconcAllow: map[string]bool{
 			"repro/internal/sim":      true, // task switching is goroutine-based
 			"repro/internal/parallel": true, // the OS-level worker pool
-			"repro/internal/stats":    true, // lock-free counters shared across shard workers
-		},
-		ShardcrossAllow: map[string]bool{
-			"repro/internal/sim": true, // implements the mailbox itself
+			"repro/internal/stats":    true, // lock-free atomic counters
 		},
 		CarefulAllow: map[string]bool{
 			"repro/internal/careful": true, // implements the protocol

@@ -156,14 +156,12 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"maporder", "repro/internal/maporder", true, maporderAnalyzer},
 		{"rawconc", "repro/internal/rawconc", true, rawconcAnalyzer},
 		{"stablesort", "repro/internal/stablesort", true, stablesortAnalyzer},
-		{"shardcross", "repro/internal/shardcross", true, shardcrossAnalyzer},
 		{"layering", "repro/internal/machine", false, layeringAnalyzer},
 		{"layering_trace", "repro/internal/trace", false, layeringAnalyzer},
 		{"layering_unknown", "repro/internal/mystery", false, layeringAnalyzer},
 		{"carefulref", "repro/internal/carefulref", true, carefulrefAnalyzer},
 		{"rpctaint", "repro/internal/rpctaint", true, rpctaintAnalyzer},
 		{"errdrop", "repro/internal/errdrop", true, errdropAnalyzer},
-		{"shardescape", "repro/internal/shardescape", true, shardescapeAnalyzer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -192,10 +190,6 @@ func TestAllowlists(t *testing.T) {
 		// maporder and stablesort only police model packages.
 		{"maporder", "repro/cmd/hivebench", true, maporderAnalyzer},
 		{"stablesort", "repro/examples/quickstart", true, stablesortAnalyzer},
-		// shardcross only polices model packages (internal/sim itself is
-		// allowlisted, but the fixture can't load under that path: it
-		// imports the real sim package).
-		{"shardcross", "repro/cmd/hivesim", true, shardcrossAnalyzer},
 		// layering only constrains internal packages.
 		{"layering", "repro/cmd/hivesim", false, layeringAnalyzer},
 		// carefulref exempts the protocol's own implementation.
@@ -205,7 +199,6 @@ func TestAllowlists(t *testing.T) {
 		// under those paths; cmd/ stands in for "out of scope".)
 		{"rpctaint", "repro/cmd/hivebench", true, rpctaintAnalyzer},
 		{"errdrop", "repro/cmd/hivesim", true, errdropAnalyzer},
-		{"shardescape", "repro/cmd/hivesim", true, shardescapeAnalyzer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture+"_as_"+strings.ReplaceAll(tc.as, "/", "_"), func(t *testing.T) {

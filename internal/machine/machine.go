@@ -131,18 +131,7 @@ type Machine struct {
 	// (see MsgFault). The hook runs in engine context and must be a
 	// deterministic function of the message and its own seeded state;
 	// nil (the production configuration) adds no cost to the send path.
-	// In a sharded run the hook fires on the *sending* cell's shard,
-	// concurrently with other shards' windows, so it must be safe for
-	// concurrent calls and its verdict must not depend on a draw sequence
-	// shared across cells (key any randomness on the message itself).
 	FaultHook func(*SIPSMsg) MsgFaultDecision
-
-	// engines[n] is the engine driving node n's events: Eng everywhere in
-	// a classic run, the owning cell's shard after BindShard in a sharded
-	// run. Every timed operation attributed to a node — SIPS delivery,
-	// interrupts, compute bursts, disk I/O, trace timestamps — goes
-	// through its entry.
-	engines []*sim.Engine
 
 	pages []pageState // indexed by PageNum
 }
@@ -190,10 +179,6 @@ func New(e *sim.Engine, cfg Config) *Machine {
 		// Boot-time firewall: only the home node's processors may write.
 		m.pages[i].fw = m.homeProcMask(PageNum(i))
 	}
-	m.engines = make([]*sim.Engine, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
-		m.engines[n] = e
-	}
 	for n := 0; n < cfg.Nodes; n++ {
 		node := &Node{ID: n, M: m, Disk: disk.New(e, cfg.Disk)}
 		m.Nodes = append(m.Nodes, node)
@@ -205,33 +190,6 @@ func New(e *sim.Engine, cfg Config) *Machine {
 	}
 	return m
 }
-
-// NodeEngine returns the engine driving node n's events: the owning cell's
-// shard in a sharded run, Eng otherwise.
-func (m *Machine) NodeEngine(n int) *sim.Engine { return m.engines[n] }
-
-// eng is shorthand for NodeEngine.
-func (m *Machine) eng(n int) *sim.Engine { return m.engines[n] }
-
-// BindShard rebinds node n — its processors, its disk, and all event
-// scheduling attributed to it — to engine e, the cluster shard of the cell
-// the node belongs to. The boot layer calls it once per node before any
-// kernel subsystem captures a processor or drive, so every timed operation
-// for the node lands on its cell's shard. The cluster's lookahead must not
-// exceed WireLatency(), or cross-shard SIPS sends would violate the
-// lookahead floor.
-func (m *Machine) BindShard(n int, e *sim.Engine) {
-	m.engines[n] = e
-	for _, p := range m.Nodes[n].Procs {
-		p.eng = e
-	}
-	m.Nodes[n].Disk.Rebind(e)
-}
-
-// WireLatency exposes the interprocessor delivery latency — the minimum
-// cross-cell interaction delay, and therefore the largest legal cluster
-// lookahead for a sharded run.
-func (m *Machine) WireLatency() sim.Time { return m.wireLatency() }
 
 // NumPages returns the total number of page frames.
 func (m *Machine) NumPages() int { return len(m.pages) }
@@ -268,11 +226,6 @@ type Node struct {
 	Procs []*Processor
 	Disk  *disk.Drive
 
-	// failed and cutoff are "frozen flags" under sharding: in a sharded
-	// run they are mutated only while every cell shard is quiescent (the
-	// global phase), so parallel-phase readers on other shards see
-	// deterministic, at-most-one-window-stale values — exactly the
-	// staleness a real remote observer has over the interconnect.
 	failed    bool   // fail-stop hardware fault
 	cutoff    bool   // memory cutoff engaged by cell panic
 	clockWord uint64 // shared clock word monitored by neighbour cells (§4.3)
@@ -298,8 +251,7 @@ func (n *Node) ReleaseCutoff() { n.cutoff = false }
 
 // FailStop halts every processor on the node and makes its memory range
 // inaccessible — the paper's §7.4 hardware fault injection. Tasks bound to
-// the node's processors are killed. Sharded runs invoke it (like Repair and
-// EngageCutoff) from the global phase: the frozen-flags rule above.
+// the node's processors are killed.
 func (n *Node) FailStop() {
 	n.failed = true
 	for _, p := range n.Procs {

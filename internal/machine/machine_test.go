@@ -502,3 +502,47 @@ func TestFirewallModeProcByteBlocksSecondSharer(t *testing.T) {
 		}
 	})
 }
+
+// TestRemoteReadSeesOwnerWrites pins down the visibility contract for
+// remote page reads: a reader on another node never sees the page's value
+// go backwards, and every read returns the owner's latest completed write.
+func TestRemoteReadSeesOwnerWrites(t *testing.T) {
+	e, m := testMachine(t, 4)
+	lo2, _ := m.NodePages(2)
+	var latest uint64 // the owner's last completed write
+	e.Go("owner", func(tk *sim.Task) {
+		for i := 1; i <= 20; i++ {
+			if err := m.WritePage(tk, m.Procs[2], lo2, uint64(i)); err != nil {
+				t.Errorf("local write %d: %v", i, err)
+			}
+			latest = uint64(i)
+			tk.Sleep(500)
+		}
+	})
+	var got []uint64
+	e.Go("reader", func(tk *sim.Task) {
+		for i := 0; i < 5; i++ {
+			tk.Sleep(2000)
+			v, _, err := m.ReadPage(tk, m.Procs[0], lo2)
+			if err != nil {
+				t.Errorf("remote read: %v", err)
+			}
+			if v != latest {
+				t.Errorf("remote read %d = %d, owner's latest write is %d", i, v, latest)
+			}
+			got = append(got, v)
+		}
+	})
+	e.Run(0)
+	if len(got) != 5 {
+		t.Fatalf("reader observed %d values, want 5", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("remote reads went backwards: %v", got)
+		}
+	}
+	if got[len(got)-1] == 0 {
+		t.Fatalf("remote reads never observed an owner write: %v", got)
+	}
+}

@@ -56,15 +56,6 @@ func (m *Machine) ReadClockWord(t *sim.Task, proc *Processor, n int) (uint64, er
 	if err := node.accessible(proc.Node.ID); err != nil {
 		return 0, err
 	}
-	if g := m.eng(n); g != m.eng(proc.Node.ID) {
-		// Sharded run, remote clock word: it advances inside the owner's
-		// window, so the careful read hops to the global phase and
-		// observes the value as of the window edge — the same bounded
-		// staleness a real remote read has over the interconnect.
-		var v uint64
-		proc.eng.Global(t, func() { v = node.clockWord })
-		return v, nil
-	}
 	return node.clockWord, nil
 }
 

@@ -135,27 +135,12 @@ func (m *Machine) SendSIPSAsync(proc *Processor, msg *SIPSMsg) error {
 	return nil
 }
 
-// sendWire schedules fn after the wire delay on the destination node's
-// engine, routing through the cluster's deterministic mailbox when source
-// and destination live on different shards. The wire latency is the
-// cluster's lookahead floor, so the mailbox delay constraint holds by
-// construction.
-func (m *Machine) sendWire(srcNode, dstNode int, delay sim.Time, fn func()) {
-	src := m.eng(srcNode)
-	if dst := m.eng(dstNode); dst != src {
-		src.Send(dst, delay, fn)
-		return
-	}
-	src.After(delay, fn)
-}
-
 // launchSIPS is the shared wire path of SendSIPS and SendSIPSAsync: it
 // stamps the hardware checksum, consults the fault hook, and schedules
 // delivery after the wire latency. srcNode is the sending node (for trace
 // attribution).
 func (m *Machine) launchSIPS(srcNode int, msg *SIPSMsg) {
-	e := m.eng(srcNode)
-	dstNode := m.Procs[msg.To].Node.ID
+	e := m.Eng
 	m.Metrics.Counter("sips.sends").Inc()
 	m.tracer(srcNode).Emit(e.Now(), trace.SIPS, int64(msg.To), int64(msg.Kind), "")
 	msg.Checksum = sipsChecksum(msg)
@@ -174,13 +159,13 @@ func (m *Machine) launchSIPS(srcNode int, msg *SIPSMsg) {
 		case FaultDup:
 			m.Metrics.Counter("sips.fault_dups").Inc()
 			m.tracer(srcNode).Emit(e.Now(), trace.MsgDup, int64(msg.To), int64(msg.Kind), "")
-			m.sendWire(srcNode, dstNode, delay+m.wireLatency(), func() { m.deliverSIPS(msg) })
+			e.After(delay+m.wireLatency(), func() { m.deliverSIPS(msg) })
 		case FaultCorrupt:
 			m.Metrics.Counter("sips.fault_corruptions").Inc()
 			msg.Checksum ^= 0xA5A5A5A5 // bits flipped in flight
 		}
 	}
-	m.sendWire(srcNode, dstNode, delay, func() { m.deliverSIPS(msg) })
+	e.After(delay, func() { m.deliverSIPS(msg) })
 }
 
 // deliverSIPS is the receive side: the hardware drops lines addressed to
@@ -195,7 +180,7 @@ func (m *Machine) deliverSIPS(msg *SIPSMsg) {
 	}
 	if msg.Checksum != sipsChecksum(msg) {
 		m.Metrics.Counter("sips.checksum_drops").Inc()
-		m.tracer(dstNode.ID).Emit(m.eng(dstNode.ID).Now(), trace.MsgCorrupt, int64(msg.To), int64(msg.Kind), "")
+		m.tracer(dstNode.ID).Emit(m.Eng.Now(), trace.MsgCorrupt, int64(msg.To), int64(msg.Kind), "")
 		return // detected corruption: discarded, never reaches software
 	}
 	handler := dstNode.OnSIPS
@@ -218,7 +203,7 @@ func (m *Machine) SendIPI(t *sim.Task, proc *Processor, to int, fn func()) error
 	if err := dstProc.Node.accessible(proc.Node.ID); err != nil {
 		return err
 	}
-	m.sendWire(proc.Node.ID, dstProc.Node.ID, m.wireLatency(), func() {
+	m.Eng.After(m.wireLatency(), func() {
 		if dstProc.Halted() {
 			return
 		}

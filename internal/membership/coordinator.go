@@ -235,18 +235,17 @@ func (c *Coordinator) ensureRound(alert *alertMsg, cellID int) (*round, bool) {
 	// accuser's cast went to the live set of cast time — a cell that
 	// rejoined between the cast and round creation is a member now but was
 	// not a recipient then, and a member without the alert never arrives
-	// at the barriers (every survivor would hang). The direct insertion
-	// runs in the round creator's global section, so it is deterministic;
-	// members the in-flight cast still reaches later just see a duplicate
-	// accusation, which the completed table absorbs.
+	// at the barriers (every survivor would hang). Members the in-flight
+	// cast still reaches later just see a duplicate accusation, which the
+	// completed table absorbs.
 	for _, m := range sortedCells(r.members) {
 		if m == cellID {
 			continue
 		}
 		if mon := c.monitors[m]; mon != nil && !mon.dead && !mon.alerting[alert.Suspect] {
 			mon.alerting[alert.Suspect] = true
-			// The push must come from the member's own shard: a direct
-			// push here would wake its recovery loop on the wrong engine.
+			// The push runs in a fresh task at the current instant,
+			// after the round creator's own work, not inline here.
 			relay := mon
 			relay.eng().Go(fmt.Sprintf("cell%d.alertrelay", relay.CellID),
 				func(rt *sim.Task) { relay.alerts.Push(alert) })
@@ -260,15 +259,11 @@ func (c *Coordinator) ensureRound(alert *alertMsg, cellID int) (*round, bool) {
 }
 
 // agree resolves the round's verdict for one member cell and returns the
-// set of confirmed-dead cells (empty = false alarm). Round state is only
-// touched in global sections; the liveness probe is real RPC traffic from
-// the member's cell and runs on its own shard between them.
+// set of confirmed-dead cells (empty = false alarm). The liveness probe is
+// real RPC traffic from the member's cell.
 func (c *Coordinator) agree(t *sim.Task, mon *Monitor, r *round) map[int]bool {
 	needVote := false
-	mon.global(t, func() {
-		if r.verdict.Ready() {
-			return
-		}
+	if !r.verdict.Ready() {
 		switch {
 		case c.forcedDead[r.suspect]:
 			// Corrupt-accuser rule already branded the suspect.
@@ -285,13 +280,10 @@ func (c *Coordinator) agree(t *sim.Task, mon *Monitor, r *round) map[int]bool {
 			_, voted := r.votes[mon.CellID]
 			needVote = !voted
 		}
-	})
+	}
 	if needVote {
 		alive := mon.probe(t, r.suspect)
-		mon.global(t, func() {
-			if _, voted := r.votes[mon.CellID]; voted {
-				return
-			}
+		if _, voted := r.votes[mon.CellID]; !voted {
 			r.votes[mon.CellID] = !alive
 			dead := int64(0)
 			if r.votes[mon.CellID] {
@@ -300,10 +292,9 @@ func (c *Coordinator) agree(t *sim.Task, mon *Monitor, r *round) map[int]bool {
 			}
 			mon.Tracer.Emit(t.Now(), trace.Vote, int64(r.suspect), dead, "")
 			c.tallyVotes(r)
-		})
+		}
 	}
-	var v any
-	mon.global(t, func() { v, _ = r.verdict.Wait(t) })
+	v, _ := r.verdict.Wait(t)
 	return v.(map[int]bool)
 }
 
@@ -314,10 +305,7 @@ func (c *Coordinator) agree(t *sim.Task, mon *Monitor, r *round) map[int]bool {
 // stays untrusted until the commit.
 func (c *Coordinator) agreeJoin(t *sim.Task, mon *Monitor, r *round) bool {
 	needVote := false
-	mon.global(t, func() {
-		if r.verdict.Ready() {
-			return
-		}
+	if !r.verdict.Ready() {
 		switch {
 		case c.Mode == Oracle:
 			admit := true
@@ -329,13 +317,10 @@ func (c *Coordinator) agreeJoin(t *sim.Task, mon *Monitor, r *round) bool {
 			_, voted := r.votes[mon.CellID]
 			needVote = !voted
 		}
-	})
+	}
 	if needVote {
 		alive := mon.probe(t, r.suspect)
-		mon.global(t, func() {
-			if _, voted := r.votes[mon.CellID]; voted {
-				return
-			}
+		if _, voted := r.votes[mon.CellID]; !voted {
 			r.votes[mon.CellID] = !alive
 			dead := int64(0)
 			if !alive {
@@ -344,10 +329,9 @@ func (c *Coordinator) agreeJoin(t *sim.Task, mon *Monitor, r *round) bool {
 			}
 			mon.Tracer.Emit(t.Now(), trace.Vote, int64(r.suspect), dead, "join")
 			c.tallyJoinVotes(r)
-		})
+		}
 	}
-	var v any
-	mon.global(t, func() { v, _ = r.verdict.Wait(t) })
+	v, _ := r.verdict.Wait(t)
 	return v.(map[int]bool)[r.suspect]
 }
 
@@ -565,8 +549,8 @@ func (c *Coordinator) reintegrate(cell int) {
 func (c *Coordinator) Reintegrate(cell int) { c.reintegrate(cell) }
 
 // RequestJoin asks the membership layer to re-admit a microbooted cell
-// through a coordinator-led join round. It must run in a global section
-// (the reboot controller's context). The returned future resolves to a
+// through a coordinator-led join round. It runs in the reboot
+// controller's context. The returned future resolves to a
 // bool: true when the round committed and the joiner is live again, false
 // when it aborted (the joiner died mid-join, or every member did). The
 // int is the join sequence the joiner must announce with. The joiner's

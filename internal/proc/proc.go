@@ -520,42 +520,24 @@ func (pt *Table) registerServices() {
 // all in the same group, each running body with its thread index in
 // p.Span. Thread 0 runs on cells[0]'s table (which must be this table's
 // cell). Returns the span.
-func (pt *Table) SpawnSpanning(t *sim.Task, name string, group int, tables []*Table, body Body) (*Span, error) {
+func (pt *Table) SpawnSpanning(name string, group int, tables []*Table, body Body) (*Span, error) {
 	if len(tables) == 0 || tables[0].CellID != pt.CellID {
 		return nil, ErrBadArgs
 	}
 	pt.nextSpn++
 	span := &Span{ID: pt.nextSpn}
-	spawnAll := func() {
-		for _, tbl := range tables {
-			p := tbl.spawn(name, group, 0, tbl.COW.NewRoot(), body)
-			p.Span = span
-			// Every thread depends on every member cell: the whole task
-			// dies if any member cell fails (§2: large applications that
-			// use the whole system get no reliability benefit).
-			span.Threads = append(span.Threads, p)
-		}
-		for _, p := range span.Threads {
-			for _, q := range span.Threads {
-				p.Deps[q.Cell] = true
-			}
-		}
-	}
-	// Member tables on other shards: their PID counters, process maps, and
-	// COW roots belong to those shards, so the whole creation runs in the
-	// global phase; each thread then starts on its own cell's shard at the
-	// window edge.
-	hop := false
 	for _, tbl := range tables {
-		if tbl.EP.Engine() != pt.EP.Engine() {
-			hop = true
-			break
-		}
+		p := tbl.spawn(name, group, 0, tbl.COW.NewRoot(), body)
+		p.Span = span
+		// Every thread depends on every member cell: the whole task
+		// dies if any member cell fails (§2: large applications that
+		// use the whole system get no reliability benefit).
+		span.Threads = append(span.Threads, p)
 	}
-	if hop {
-		pt.EP.Engine().Global(t, spawnAll)
-	} else {
-		spawnAll()
+	for _, p := range span.Threads {
+		for _, q := range span.Threads {
+			p.Deps[q.Cell] = true
+		}
 	}
 	pt.Metrics.Counter("proc.spanning_tasks").Inc()
 	return span, nil

@@ -289,7 +289,7 @@ func TestSpanningThreadIndex(t *testing.T) {
 	idxs := map[int]bool{}
 	launched := false
 	f.pts[0].Spawn("launcher", 1, func(p *Process, tk *sim.Task) {
-		span, err := f.pts[0].SpawnSpanning(tk, "par", 9,
+		span, err := f.pts[0].SpawnSpanning("par", 9,
 			[]*Table{f.pts[0], f.pts[1]},
 			func(tp *Process, tt *sim.Task) {
 				idxs[tp.ThreadIndex()] = true
@@ -429,7 +429,7 @@ func TestSpanningSharedAddressSpace(t *testing.T) {
 	var span *Span
 	phase := 0
 	f.pts[0].Spawn("launcher", 1, func(p *Process, tk *sim.Task) {
-		s, err := f.pts[0].SpawnSpanning(tk, "par", 9,
+		s, err := f.pts[0].SpawnSpanning("par", 9,
 			[]*Table{f.pts[0], f.pts[1]},
 			func(tp *Process, tt *sim.Task) {
 				idx := tp.ThreadIndex()

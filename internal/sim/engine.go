@@ -73,14 +73,6 @@ type Engine struct {
 	failure    any    // panic value escaped from a task
 	dispatched uint64 // total events fired since boot
 
-	// Sharded mode (see cluster.go). A free-standing engine has clu == nil
-	// and behaves exactly as before; a shard engine is driven by its
-	// Cluster's window loop instead of Run.
-	clu          *Cluster
-	id           int  // shard id: 0 = global, 1..N = cells
-	running      bool // this shard's window is executing on the current goroutine
-	pendingCross map[crossKey]*Event
-
 	// Trace, if non-nil, receives a line for every dispatched event.
 	// Used by determinism tests and debugging.
 	Trace func(at Time, what string)
@@ -101,9 +93,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // schedule inserts an event at absolute time t (clamped to now), drawing
 // from the freelist when possible.
 func (e *Engine) schedule(t Time, fn func()) *Event {
-	if e.clu != nil {
-		t = e.clu.guardSchedule(e, t)
-	}
 	if t < e.now {
 		t = e.now
 	}
@@ -166,21 +155,8 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
-// Stop halts the engine loop after the current event completes. On a
-// cluster shard it also halts the cluster at the next window barrier.
-func (e *Engine) Stop() {
-	e.stopped = true
-	if e.clu != nil {
-		e.clu.stopped.Store(true)
-	}
-}
-
-// ShardID returns the engine's shard id within its cluster (0 = global),
-// or 0 for a free-standing engine.
-func (e *Engine) ShardID() int { return e.id }
-
-// Cluster returns the cluster this engine belongs to, or nil.
-func (e *Engine) Cluster() *Cluster { return e.clu }
+// Stop halts the engine loop after the current event completes.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
@@ -189,9 +165,6 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Stop is called. A deadline of 0 means run until idle. It panics if a task
 // panicked (propagating the original value) and returns the final time.
 func (e *Engine) Run(deadline Time) Time {
-	if e.clu != nil {
-		panic("sim: engine is a cluster shard; drive it with Cluster.Run")
-	}
 	for !e.stopped && len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled { // lazily-cancelled: discard without firing
@@ -226,9 +199,6 @@ func (e *Engine) Run(deadline Time) Time {
 
 // Step processes a single event, returning false when the queue is empty.
 func (e *Engine) Step() bool {
-	if e.clu != nil {
-		panic("sim: engine is a cluster shard; drive it with Cluster.Run")
-	}
 	for len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(*Event)
 		if ev.cancelled {

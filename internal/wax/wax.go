@@ -46,12 +46,6 @@ type Wax struct {
 	mu      sim.Mutex // Wax threads synchronize with ordinary user locks
 	threads []*proc.Process
 	dead    bool
-	// pendingKicks defers cross-cell borrow returns in a sharded run: the
-	// leader records which homes each cell should return frames toward
-	// (global phase), and each cell's own thread performs the returns on
-	// its own shard — the RPC traffic they generate cannot run from the
-	// global phase.
-	pendingKicks [][]int
 
 	Metrics *stats.Registry
 
@@ -67,8 +61,7 @@ type Wax struct {
 func Start(h *core.Hive) *Wax {
 	w := &Wax{
 		h: h, view: make([]cellState, len(h.Cells)),
-		pendingKicks: make([][]int, len(h.Cells)),
-		Metrics:      stats.NewRegistry(),
+		Metrics: stats.NewRegistry(),
 	}
 	for _, c := range h.LiveCells() {
 		cell := c
@@ -112,55 +105,9 @@ func (w *Wax) Alive() bool {
 }
 
 // threadBody is one Wax thread: sample local state, synchronize through
-// the shared view, and (on the lowest-numbered live thread) apply policy.
-// In a classic run the threads synchronize with an ordinary user mutex; in
-// a sharded run the shared view is cross-shard state, so the same exchange
-// happens in the global phase — the paper's "global view through shared
-// memory", with the window barrier standing in for the lock.
+// the shared view with an ordinary user mutex, and (on the lowest-numbered
+// live thread) apply policy.
 func (w *Wax) threadBody(cellID int, p *proc.Process, t *sim.Task) {
-	cell := w.h.Cells[cellID]
-	if cell.EP.Engine().Cluster() == nil {
-		w.threadBodyClassic(cellID, p, t)
-		return
-	}
-	eng := cell.EP.Engine()
-	kicked := 0
-	for !w.dead {
-		t.Sleep(Interval)
-		if w.dead || cell.Failed() {
-			return
-		}
-		p.Compute(t, sampleCost)
-		var kicks []int
-		eng.Global(t, func() {
-			w.view[cellID] = cellState{
-				FreePages: cell.VM.FreePages(),
-				Borrowed:  cell.VM.BorrowedFrames(),
-				Loaned:    cell.VM.LoanedFrames(),
-				Procs:     cell.Procs.Live(),
-				sampled:   true,
-			}
-			w.ClockHandKicks += kicked
-			kicked = 0
-			kicks = w.pendingKicks[cellID]
-			w.pendingKicks[cellID] = nil
-			if w.isLeader(cellID) {
-				w.applyPolicy(t, true)
-			}
-		})
-		// Perform this cell's own deferred borrow returns on its own shard.
-		for _, home := range kicks {
-			if w.dead || cell.Failed() {
-				return
-			}
-			if cell.ApplyClockHand(t, home) {
-				kicked++
-			}
-		}
-	}
-}
-
-func (w *Wax) threadBodyClassic(cellID int, p *proc.Process, t *sim.Task) {
 	for !w.dead {
 		t.Sleep(Interval)
 		if w.dead || w.h.Cells[cellID].Failed() {
@@ -179,7 +126,7 @@ func (w *Wax) threadBodyClassic(cellID int, p *proc.Process, t *sim.Task) {
 		leader := w.isLeader(cellID)
 		w.mu.Unlock(t)
 		if leader {
-			w.applyPolicy(t, false)
+			w.applyPolicy(t)
 		}
 	}
 }
@@ -194,10 +141,8 @@ func (w *Wax) isLeader(cellID int) bool {
 	return false
 }
 
-// applyPolicy computes and pushes the Table 3.4 hints. With deferKicks set
-// (sharded runs) the clock-hand borrow returns are recorded in pendingKicks
-// for each cell's own thread instead of being performed inline.
-func (w *Wax) applyPolicy(t *sim.Task, deferKicks bool) {
+// applyPolicy computes and pushes the Table 3.4 hints.
+func (w *Wax) applyPolicy(t *sim.Task) {
 	type fp struct{ cell, free int }
 	var rows []fp
 	total, n := 0, 0
@@ -292,9 +237,7 @@ func (w *Wax) applyPolicy(t *sim.Task, deferKicks bool) {
 				if other.ID == r.cell {
 					continue
 				}
-				if deferKicks {
-					w.pendingKicks[other.ID] = append(w.pendingKicks[other.ID], r.cell)
-				} else if other.ApplyClockHand(t, r.cell) {
+				if other.ApplyClockHand(t, r.cell) {
 					w.ClockHandKicks++
 				}
 			}

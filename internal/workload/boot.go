@@ -1,62 +1,10 @@
 package workload
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/membership"
 )
-
-// defaultShards, set once at CLI startup via SetDefaultShards, boots every
-// harness Hive on the sharded engine with that many worker threads
-// (0 = classic single engine). Boot sites that set Config.Shards
-// explicitly are not overridden.
-var defaultShards int
-
-// ShardsAuto, passed to SetDefaultShards (or returned by ParseShards for
-// "auto"), selects one worker per cell shard at each boot site.
-const ShardsAuto = -1
-
-// SetDefaultShards selects the engine mode for subsequent Boot* calls:
-// 0 = classic, N = sharded with N workers, ShardsAuto = one worker per
-// cell. The CLIs' -shards flag lands here; results are byte-identical at
-// every positive value.
-func SetDefaultShards(n int) { defaultShards = n }
-
-// AutoShards is the -shards auto worker count for a cell count: one worker
-// per cell shard, letting the runtime multiplex onto available CPUs.
-func AutoShards(cells int) int { return cells }
-
-// ParseShards parses a -shards flag value: "" and "0" keep the classic
-// engine, "auto" selects ShardsAuto, any positive integer is a worker
-// count.
-func ParseShards(s string) (int, error) {
-	switch s {
-	case "", "0":
-		return 0, nil
-	case "auto":
-		return ShardsAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("workload: -shards %q: want a positive integer, \"auto\", or 0", s)
-	}
-	return n, nil
-}
-
-// applyDefaultShards resolves the process-wide default engine mode for one
-// boot config (explicit settings win).
-func applyDefaultShards(cfg *core.Config) {
-	if cfg.Shards != 0 {
-		return
-	}
-	cfg.Shards = defaultShards
-	if defaultShards == ShardsAuto {
-		cfg.Shards = AutoShards(cfg.Cells)
-	}
-}
 
 // BootHive boots a machine partitioned into the given number of cells
 // (1 up to core.MaxCells), with /tmp homed on the last cell. Counts that
@@ -104,7 +52,6 @@ func BootHiveWith(cells int, seed int64, mutate func(*core.Config)) *core.Hive {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	applyDefaultShards(&cfg)
 	return core.Boot(cfg)
 }
 
@@ -118,6 +65,5 @@ func BootIRIX() *core.Hive {
 	cfg.Machine.FirewallEnabled = false
 	cfg.Mounts = standardMounts(1)
 	cfg.Agreement = membership.Oracle
-	applyDefaultShards(&cfg)
 	return core.Boot(cfg)
 }

@@ -68,8 +68,8 @@ func DefaultFrontend() FrontendConfig {
 }
 
 // FrontendResult is the SLO-level outcome of one frontend run. All values
-// derive from virtual time and per-shard seeded RNGs, so they are
-// byte-identical across -j and -shards.
+// derive from virtual time and per-generator seeded RNGs, so they are
+// byte-identical across -j.
 type FrontendResult struct {
 	Offered  int // arrivals generated (open loop, includes shed)
 	Issued   int // jobs actually forked
@@ -108,8 +108,7 @@ type FrontendResult struct {
 }
 
 // feCellStats is completion-side accounting for one cell. Every field is
-// written only by jobs running on that cell — one shard — and read after
-// the run; the merge into FrontendResult is single-threaded.
+// written only by jobs running on that cell and read after the run.
 type feCellStats struct {
 	completed   int
 	good        int
@@ -119,7 +118,7 @@ type feCellStats struct {
 }
 
 // feGenStats is dispatch-side accounting for one per-cell generator,
-// written only from that generator's own shard.
+// written only by that generator.
 type feGenStats struct {
 	offered      int
 	issued       int
@@ -184,7 +183,7 @@ func RunFrontend(h *core.Hive, cfg FrontendConfig, maxTime sim.Time) (*Result, *
 		tenantPages = 8
 	}
 	holders := make([]feHolder, cfg.Tenants)
-	holdersReady := make([]int, cfg.Tenants) // one slot per holder's shard
+	holdersReady := make([]int, cfg.Tenants) // one slot per holder
 	stopHolders := false
 	for k := 0; k < cfg.Tenants; k++ {
 		k := k
@@ -293,7 +292,8 @@ func RunFrontend(h *core.Hive, cfg FrontendConfig, maxTime sim.Time) (*Result, *
 	}
 
 	// Generators: one open-loop dispatcher per cell, each with its own
-	// seeded RNG so the arrival stream is independent of shard count.
+	// seeded RNG so each cell's arrival stream is independent of the
+	// others.
 	start := h.Now()
 	res.Started = start
 	endAt := start + cfg.Duration
@@ -317,8 +317,7 @@ func RunFrontend(h *core.Hive, cfg FrontendConfig, maxTime sim.Time) (*Result, *
 					return rng.Intn(cfg.Tenants)
 				}
 				// sweep retires finished jobs and charges jobs stranded on
-				// a failed cell as losses. Get() crosses shards the same
-				// way the pmake coordinator's completion poll does.
+				// a failed cell as losses.
 				sweep := func(now sim.Time) {
 					keep := gs.out[:0]
 					for _, j := range gs.out {

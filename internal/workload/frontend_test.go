@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -21,45 +20,6 @@ func testFrontendConfig() FrontendConfig {
 	cfg.JobSharedPages = 2
 	cfg.JobAnonPages = 4
 	return cfg
-}
-
-// feDigest extends the hive digest with the SLO-level result, so the
-// identity gate covers the frontend's own accounting, not just the trace.
-func feDigest(h *core.Hive, res *Result, fe *FrontendResult) string {
-	return fmt.Sprintf("%x|%+v", hiveDigest(h, res), *fe)
-}
-
-// runShardedFrontend boots a hive at the given shard count and runs the
-// scaled-down frontend to completion.
-func runShardedFrontend(t *testing.T, cells, shards int) string {
-	t.Helper()
-	h := BootHiveWith(cells, 5151, func(cfg *core.Config) {
-		cfg.Shards = shards
-	})
-	res, fe := RunFrontend(h, testFrontendConfig(), 60*sim.Second)
-	if !res.Done {
-		t.Fatalf("frontend did not finish at cells=%d shards=%d: errs=%v", cells, shards, res.Errors)
-	}
-	if fe.Completed == 0 {
-		t.Fatalf("frontend completed no jobs at cells=%d shards=%d", cells, shards)
-	}
-	if fe.Lost != 0 || fe.ForkErrs != 0 {
-		t.Fatalf("healthy frontend lost work at cells=%d shards=%d: %+v", cells, shards, *fe)
-	}
-	return feDigest(h, res, fe)
-}
-
-// TestFrontendShardedIdentity is the frontend's stack-level determinism
-// gate: trace, workload result, and every SLO metric must be identical at
-// any worker count — arrivals come from per-generator seeded RNGs in
-// virtual time, so shard scheduling cannot perturb them.
-func TestFrontendShardedIdentity(t *testing.T) {
-	ref := runShardedFrontend(t, 4, 1)
-	for _, shards := range []int{2, 4} {
-		if got := runShardedFrontend(t, 4, shards); got != ref {
-			t.Errorf("digest at %d workers differs from serial reference", shards)
-		}
-	}
 }
 
 // TestFrontendArrivalDeterminism checks the open-loop generator itself:

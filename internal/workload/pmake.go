@@ -30,10 +30,8 @@ type PmakeConfig struct {
 
 	Seed uint64
 	// InjectHook, when set, is called from the job's own task as each job
-	// starts (the §7.4 "during process creation" trigger point). The task
-	// lets injection code hop to the global phase (Engine.Global) in
-	// sharded runs.
-	InjectHook func(t *sim.Task, job int)
+	// starts (the §7.4 "during process creation" trigger point).
+	InjectHook func(job int)
 }
 
 // DefaultPmake returns the calibrated configuration.
@@ -119,7 +117,7 @@ func RunPmake(h *core.Hive, cfg PmakeConfig, maxTime sim.Time) *Result {
 	jobBody := func(job int) proc.Body {
 		return func(p *proc.Process, t *sim.Task) {
 			if cfg.InjectHook != nil {
-				cfg.InjectHook(t, job)
+				cfg.InjectHook(job)
 			}
 			cell := h.Cells[p.Cell]
 			pt := cell.Procs

@@ -24,9 +24,8 @@ type RaytraceConfig struct {
 	MainCell   int      // cell hosting the parent (scene data home)
 	Seed       uint64
 	// ForkHook fires from the parent's task as each worker forks (an
-	// injection trigger). The task lets injection code hop to the global
-	// phase (Engine.Global) in sharded runs.
-	ForkHook func(t *sim.Task, worker int)
+	// injection trigger).
+	ForkHook func(worker int)
 }
 
 // DefaultRaytrace returns the calibrated configuration (IRIX ≈4.35 s).
@@ -49,10 +48,8 @@ func RunRaytrace(h *core.Hive, cfg RaytraceConfig, maxTime sim.Time) *Result {
 	start := h.Now()
 	res.Started = start
 
-	// One completion slot per worker: each is written only by its own
-	// worker's shard (a shared counter would be a cross-shard write-write
-	// race when recovery kills several workers in the same window), and
-	// only read from the driver loop between windows.
+	// One completion slot per worker, written only by its own worker and
+	// read by the driver loop.
 	finished := make([]int, cfg.Workers)
 	doneCount := func() int {
 		n := 0
@@ -104,7 +101,7 @@ func RunRaytrace(h *core.Hive, cfg RaytraceConfig, maxTime sim.Time) *Result {
 		cellOf := make(map[int]int)
 		for w := 0; w < cfg.Workers; w++ {
 			if cfg.ForkHook != nil {
-				cfg.ForkHook(t, w)
+				cfg.ForkHook(w)
 			}
 			target := w % len(h.Cells)
 			for i := 0; i < len(h.Cells) && h.Cells[target].Failed(); i++ {
