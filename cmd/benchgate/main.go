@@ -1,13 +1,16 @@
 // Command benchgate compares a freshly generated hivebench report against
-// the committed baseline and exits nonzero on any metric drift beyond the
-// tolerance. It is the CI perf-regression gate:
+// the committed baseline and exits nonzero if any deterministic metric
+// differs from it at all. It is the CI gate for the paper's numbers: the
+// baseline is generated at -j 1 and the candidate at -j 8, so the same
+// exact check also proves the experiments identical across worker counts:
 //
-//	go run ./cmd/hivebench -quick -json -o /tmp/bench.json
+//	go run ./cmd/hivebench -quick -json -j 8 -o /tmp/bench.json
 //	go run ./cmd/benchgate -baseline BENCH_hive.json -candidate /tmp/bench.json
 //
-// Only deterministic metrics are compared; wall-clock timings are ignored.
-// After an intentional performance change, refresh the baseline with
-// `make bench-report` and commit the new BENCH_hive.json.
+// Only the experiments' metrics maps are compared; wall-clock timings
+// and the info maps are not read. After an intentional behavior change,
+// refresh the baseline with `make bench-report` and commit the new
+// BENCH_hive.json.
 package main
 
 import (
@@ -21,7 +24,6 @@ import (
 func main() {
 	baseline := flag.String("baseline", "BENCH_hive.json", "committed baseline report")
 	candidate := flag.String("candidate", "", "freshly generated report to check")
-	tol := flag.Float64("tol", 0.05, "relative drift tolerance (0.05 = 5%)")
 	flag.Parse()
 
 	if *candidate == "" {
@@ -39,7 +41,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := benchcmp.Compare(base, cand, *tol)
+	res := benchcmp.Compare(base, cand)
 	for _, w := range res.Warnings {
 		fmt.Println("warning:", w)
 	}
@@ -47,11 +49,10 @@ func main() {
 		for _, f := range res.Failures {
 			fmt.Println("FAIL:", f)
 		}
-		fmt.Printf("benchgate: %d of %d metrics regressed beyond ±%.1f%% "+
+		fmt.Printf("benchgate: %d of %d metrics differ from %s "+
 			"(intentional? refresh with `make bench-report` and commit)\n",
-			len(res.Failures), res.Compared, *tol*100)
+			len(res.Failures), res.Compared, *baseline)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: OK — %d metrics within ±%.1f%% of %s\n",
-		res.Compared, *tol*100, *baseline)
+	fmt.Printf("benchgate: OK — %d metrics identical to %s\n", res.Compared, *baseline)
 }

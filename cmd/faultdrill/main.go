@@ -118,7 +118,7 @@ func main() {
 		if *trials > 0 {
 			n = *trials
 		}
-		row := faultinject.RunScenarioOptsWith(parallel.Default(), s, n,
+		row := faultinject.RunScenario(parallel.Default(), s, n,
 			faultinject.TrialOpts{Cells: *cells})
 		rows = append(rows, row)
 		if !row.AllOK {

@@ -8,16 +8,16 @@
 //	hivebench -j 8            # fan independent trials across 8 workers
 //	hivebench -json           # machine-readable benchmark report on stdout
 //	hivebench -json -o BENCH_hive.json
-//	hivebench -trace out.json # Perfetto trace of a fault-injection trial
 //	hivebench -only t72       # one experiment: careful41, rpc6, t52,
 //	                          # t72, t73, t74, fw42, traffic52, reboot,
 //	                          # frontend, t81, scale, scalability,
-//	                          # agreement, cowlookup, sipsipi, fwgran,
-//	                          # ccnow
+//	                          # agreement, detect43, cowlookup, sipsipi,
+//	                          # fwgran, ccnow
 //
-// Experiments are deterministic simulations: the tables are byte-identical
-// at every -j. The JSON report additionally records wall-clock time per
-// experiment so the simulator's real-time performance is tracked PR to PR.
+// Experiments are deterministic simulations: the tables and every metric
+// are identical at every -j, which `make bench-gate` checks exactly. The
+// JSON report additionally records wall-clock time per experiment (never
+// gated) so the simulator's real-time performance is tracked PR to PR.
 package main
 
 import (
@@ -29,7 +29,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -90,22 +89,9 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel trial workers (1 = sequential)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark report instead of tables")
 	outPath := flag.String("o", "", "write the -json report to a file instead of stdout")
-	tracePath := flag.String("trace", "", "write a Chrome trace of one node-failure trial, then exit")
 	flag.Parse()
 
 	parallel.SetDefaultWorkers(*jobs)
-
-	if *tracePath != "" {
-		tr := faultinject.RunTrialOpts(faultinject.NodeFailRandom, 0,
-			faultinject.TrialOpts{KeepTrace: true, TraceCap: 1 << 16})
-		if err := os.WriteFile(*tracePath, tr.TraceJSON, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "hivebench: write trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s: node-failure trial, detect %.1f ms, recovery %.1f ms (load in ui.perfetto.dev)\n",
-			*tracePath, tr.DetectMs, tr.RecoveryMs)
-		return
-	}
 
 	ctx := &runCtx{
 		jsonMode: *jsonOut,
@@ -474,6 +460,19 @@ func main() {
 		tb.AddRow("oracle (paper's configuration)", fmt.Sprintf("%.1f", ac.OracleDetectMs), "true")
 		tb.AddRow("voting protocol", fmt.Sprintf("%.1f", ac.VoteDetectMs), fmt.Sprint(ac.VoteOK))
 		c.println(tb)
+	})
+
+	run("detect43", func(c *runCtx) {
+		pts := harness.DetectionCurve(3)
+		tb := stats.NewTable("§4.3 ablation — clock-check period vs failure detection",
+			"check period", "avg detection")
+		for _, p := range pts {
+			c.metric(fmt.Sprintf("detect_ms_at_%.0fms", p.CheckEveryMs), p.DetectMs)
+			tb.AddRow(harness.FormatMs(p.CheckEveryMs), harness.FormatMs(p.DetectMs))
+		}
+		c.println(tb)
+		c.println("checking less often saves probe traffic but widens the window of vulnerability.")
+		c.println()
 	})
 
 	ctx.report.TotalWallMs = float64(time.Since(start).Microseconds()) / 1000

@@ -14,7 +14,7 @@
 //	hivemort -scenario 4 -trial 2 # full forensic report for one trial
 //	hivemort -top 5               # top-5 span names per subsystem in profiles
 //	hivemort -json -o mort.json   # machine-readable audit report
-//	hivemort -sweep -points 220   # audit the seeded sweep grid (nightly artifact)
+//	hivemort -trials 15 -json     # 15 trials of every scenario (nightly artifact)
 package main
 
 import (
@@ -66,8 +66,7 @@ type scenarioAudit struct {
 
 // mortReport is the -json document. The worker-count and wall-clock
 // fields ("jobs", "gomaxprocs", "total_wall_ms") are the only
-// run-shape-dependent ones, named to match the identity gate's strip
-// pattern so gated diffs exclude exactly them.
+// run-shape-dependent ones; every other field is identical at any -j.
 type mortReport struct {
 	Name              string          `json:"name"`
 	GoVersion         string          `json:"go_version"`
@@ -93,8 +92,6 @@ func main() {
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "parallel trial workers (1 = sequential)")
 		jsonOut  = flag.Bool("json", false, "emit the machine-readable audit report instead of the table")
 		outPath  = flag.String("o", "", "write the -json report to a file instead of stdout")
-		sweep    = flag.Bool("sweep", false, "audit a uniform (scenario × trial) grid instead of the default campaign")
-		points   = flag.Int("points", 220, "with -sweep: minimum grid points to cover")
 	)
 	flag.Parse()
 
@@ -114,9 +111,7 @@ func main() {
 	var rows []scenarioAudit
 	for _, s := range faultinject.AllScenarios() {
 		n := s.DefaultTests()
-		if *sweep {
-			n = (*points + faultinject.NumScenarios - 1) / faultinject.NumScenarios
-		} else if *trials > 0 {
+		if *trials > 0 {
 			n = *trials
 		}
 		rows = append(rows, auditScenario(s, n, opts))

@@ -1,19 +1,21 @@
-// Package benchcmp compares two hivebench -json reports and flags
-// performance regressions. It is the library behind `make bench-gate`:
-// the committed BENCH_hive.json is the baseline, a freshly generated
-// report is the candidate, and any deterministic metric drifting beyond
-// the tolerance fails the gate.
+// Package benchcmp compares two hivebench -json reports for exact
+// equality. It is the library behind `make bench-gate`: the committed
+// BENCH_hive.json (generated at -j 1) is the baseline, a freshly
+// generated report (at -j 8) is the candidate, and any deterministic
+// metric that differs fails the gate — so one check covers both
+// regressions and worker-count identity.
 //
-// Only the experiments' metrics participate: they derive from virtual
-// time and event counts, so on a healthy tree they are byte-identical
-// run to run and any drift is a real behavior change. Wall-clock fields
-// (wall_ms, total_wall_ms) vary with the host and are ignored.
+// Only the experiments' metrics maps participate: they derive from
+// virtual time and event counts, so on a healthy tree they are identical
+// run to run and at any -j, and any difference is a real behavior
+// change. Report and Experiment carry no other fields, so wall-clock
+// values (wall_ms, total_wall_ms, the info maps) and run-shape fields
+// (jobs, gomaxprocs) are never even decoded.
 package benchcmp
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 )
@@ -58,13 +60,13 @@ type Result struct {
 func (r *Result) OK() bool { return len(r.Failures) == 0 }
 
 // Compare checks the candidate report against the baseline. A metric
-// fails when its relative drift exceeds tol (e.g. 0.05 for the 5% gate);
-// a baseline metric of exactly zero fails on any nonzero candidate
-// value, since relative drift is undefined there. Experiments or metrics
-// present in the baseline but missing from the candidate fail (the bench
-// lost coverage); ones only in the candidate warn. Reports generated at
-// different -quick settings are not comparable and fail outright.
-func Compare(baseline, candidate *Report, tol float64) *Result {
+// fails when its value differs from the baseline's at all: the numbers
+// come from a deterministic simulation, so there is no noise for a
+// tolerance to absorb. Experiments or metrics present in the baseline
+// but missing from the candidate fail (the bench lost coverage); ones
+// only in the candidate warn. Reports generated at different -quick
+// settings are not comparable and fail outright.
+func Compare(baseline, candidate *Report) *Result {
 	res := &Result{}
 	if baseline.Quick != candidate.Quick {
 		res.Failures = append(res.Failures, fmt.Sprintf(
@@ -96,10 +98,9 @@ func Compare(baseline, candidate *Report, tol float64) *Result {
 				continue
 			}
 			res.Compared++
-			if drift, bad := exceeds(base, cand, tol); bad {
+			if cand != base {
 				res.Failures = append(res.Failures, fmt.Sprintf(
-					"%s/%s: %g -> %g (%+.1f%%, tolerance ±%.1f%%)",
-					be.ID, name, base, cand, drift*100, tol*100))
+					"%s/%s: baseline %v, candidate %v", be.ID, name, base, cand))
 			}
 		}
 		for _, name := range sortedKeys(ce.Metrics) {
@@ -116,25 +117,6 @@ func Compare(baseline, candidate *Report, tol float64) *Result {
 		}
 	}
 	return res
-}
-
-// exceeds returns the signed relative drift and whether it breaks tol.
-func exceeds(base, cand, tol float64) (float64, bool) {
-	if base == cand {
-		return 0, false
-	}
-	if base == 0 {
-		return math.Inf(sign(cand)), true
-	}
-	drift := (cand - base) / math.Abs(base)
-	return drift, math.Abs(drift) > tol
-}
-
-func sign(v float64) int {
-	if v < 0 {
-		return -1
-	}
-	return 1
 }
 
 // sortedKeys returns the map's keys in sorted order so failure lists are

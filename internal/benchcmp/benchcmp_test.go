@@ -21,29 +21,39 @@ func exp(id string, kv ...any) Experiment {
 
 func TestIdenticalReportsPass(t *testing.T) {
 	base := report(true, exp("t52", "local_us", 6.9, "remote_us", 50.7))
-	res := Compare(base, base, 0.05)
+	res := Compare(base, base)
 	if !res.OK() || res.Compared != 2 {
 		t.Fatalf("identical reports should pass: %+v", res)
 	}
 }
 
-func TestRegressionBeyondToleranceFails(t *testing.T) {
-	base := report(true, exp("t52", "remote_us", 50.7))
-	cand := report(true, exp("t52", "remote_us", 50.7*1.06)) // +6% > 5% gate
-	res := Compare(base, cand, 0.05)
-	if res.OK() {
-		t.Fatal("6% regression passed the 5% gate")
-	}
-	if !strings.Contains(res.Failures[0], "t52/remote_us") {
-		t.Fatalf("failure should name the metric: %q", res.Failures[0])
+func TestRelativeDriftOfOneInABillionFails(t *testing.T) {
+	// The metrics come from a deterministic simulation: any difference,
+	// however small and in either direction, is a behavior change.
+	for _, f := range []float64{1 + 1e-9, 1 - 1e-9} {
+		base := report(true, exp("t52", "remote_us", 50.7))
+		cand := report(true, exp("t52", "remote_us", 50.7*f))
+		res := Compare(base, cand)
+		if res.OK() {
+			t.Fatalf("drift x%v passed the exact gate", f)
+		}
+		if len(res.Failures) != 1 || !strings.Contains(res.Failures[0], "t52/remote_us") ||
+			!strings.Contains(res.Failures[0], "50.7") {
+			t.Fatalf("failure should name the metric and both values: %q", res.Failures)
+		}
 	}
 }
 
-func TestDriftWithinTolerancePasses(t *testing.T) {
+func TestRegressionBeyondToleranceFails(t *testing.T) {
+	// The gate's tolerance is zero, so a 6% regression is far beyond it.
 	base := report(true, exp("t52", "remote_us", 50.7))
-	cand := report(true, exp("t52", "remote_us", 50.7*1.04)) // +4% < 5%
-	if res := Compare(base, cand, 0.05); !res.OK() {
-		t.Fatalf("4%% drift failed the 5%% gate: %v", res.Failures)
+	cand := report(true, exp("t52", "remote_us", 50.7*1.06))
+	res := Compare(base, cand)
+	if res.OK() {
+		t.Fatal("6% regression passed the exact gate")
+	}
+	if !strings.Contains(res.Failures[0], "t52/remote_us") {
+		t.Fatalf("failure should name the metric: %q", res.Failures[0])
 	}
 }
 
@@ -53,18 +63,19 @@ func TestImprovementBeyondToleranceAlsoFails(t *testing.T) {
 	// deliberately, not drift silently.
 	base := report(true, exp("t74", "s1_avg_detect_ms", 16.0))
 	cand := report(true, exp("t74", "s1_avg_detect_ms", 10.0))
-	if res := Compare(base, cand, 0.05); res.OK() {
-		t.Fatal("37% improvement should still trip the drift gate")
+	if res := Compare(base, cand); res.OK() {
+		t.Fatal("37% improvement should still trip the gate")
 	}
 }
 
 func TestZeroBaselineFailsOnNonzeroCandidate(t *testing.T) {
 	base := report(true, exp("t74", "failures", 0.0))
-	cand := report(true, exp("t74", "failures", 1.0))
-	if res := Compare(base, cand, 0.05); res.OK() {
-		t.Fatal("0 -> 1 change passed")
+	for _, v := range []float64{1, -1, 1e-300} {
+		if res := Compare(base, report(true, exp("t74", "failures", v))); res.OK() {
+			t.Fatalf("0 -> %v change passed", v)
+		}
 	}
-	if res := Compare(base, base, 0.05); !res.OK() {
+	if res := Compare(base, base); !res.OK() {
 		t.Fatal("0 -> 0 should pass")
 	}
 }
@@ -72,7 +83,7 @@ func TestZeroBaselineFailsOnNonzeroCandidate(t *testing.T) {
 func TestMissingExperimentFails(t *testing.T) {
 	base := report(true, exp("t52", "local_us", 6.9), exp("rpc6", "null_us", 7.2))
 	cand := report(true, exp("t52", "local_us", 6.9))
-	res := Compare(base, cand, 0.05)
+	res := Compare(base, cand)
 	if res.OK() {
 		t.Fatal("dropped experiment passed")
 	}
@@ -84,27 +95,27 @@ func TestMissingExperimentFails(t *testing.T) {
 func TestMissingMetricFails(t *testing.T) {
 	base := report(true, exp("t52", "local_us", 6.9, "remote_us", 50.7))
 	cand := report(true, exp("t52", "local_us", 6.9))
-	if res := Compare(base, cand, 0.05); res.OK() {
+	if res := Compare(base, cand); res.OK() {
 		t.Fatal("dropped metric passed")
 	}
 }
 
 func TestNewExperimentAndMetricWarn(t *testing.T) {
 	base := report(true, exp("t52", "local_us", 6.9))
-	cand := report(true, exp("t52", "local_us", 6.9, "extra_us", 1.0), exp("scale", "events_8c", 100.0))
-	res := Compare(base, cand, 0.05)
+	cand := report(true, exp("t52", "local_us", 6.9, "extra_us", 1.0), exp("detect43", "detect_ms_at_10ms", 3.0))
+	res := Compare(base, cand)
 	if !res.OK() {
 		t.Fatalf("additions should warn, not fail: %v", res.Failures)
 	}
-	if len(res.Warnings) != 2 {
-		t.Fatalf("want 2 warnings, got %v", res.Warnings)
+	if len(res.Warnings) != 2 || !strings.Contains(res.Warnings[1], `"detect43"`) {
+		t.Fatalf("want 2 warnings, the second naming detect43, got %v", res.Warnings)
 	}
 }
 
 func TestQuickMismatchFails(t *testing.T) {
 	base := report(true, exp("t52", "local_us", 6.9))
 	cand := report(false, exp("t52", "local_us", 6.9))
-	res := Compare(base, cand, 0.05)
+	res := Compare(base, cand)
 	if res.OK() {
 		t.Fatal("quick-mode mismatch passed")
 	}
@@ -116,9 +127,9 @@ func TestQuickMismatchFails(t *testing.T) {
 func TestFailureOrderIsStable(t *testing.T) {
 	base := report(true, exp("t52", "a", 1.0, "b", 2.0, "c", 3.0))
 	cand := report(true, exp("t52", "a", 2.0, "b", 4.0, "c", 6.0))
-	first := Compare(base, cand, 0.05)
+	first := Compare(base, cand)
 	for i := 0; i < 20; i++ {
-		if got := Compare(base, cand, 0.05); strings.Join(got.Failures, "\n") != strings.Join(first.Failures, "\n") {
+		if got := Compare(base, cand); strings.Join(got.Failures, "\n") != strings.Join(first.Failures, "\n") {
 			t.Fatal("failure order varies across runs")
 		}
 	}

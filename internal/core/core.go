@@ -41,13 +41,11 @@ type Config struct {
 	// Agreement selects oracle (the paper's configuration) or the real
 	// voting protocol.
 	Agreement membership.AgreementMode
-	// AutoReintegrate lets the recovery master reboot repaired cells.
-	AutoReintegrate bool
 	// Reboot configures the availability loop: when enabled, a controller
 	// microboots a declared-dead cell on its repaired nodes and re-admits
 	// it through a membership join round (untrusted until commit), then
-	// warms it back to full capacity. Orthogonal to AutoReintegrate, the
-	// older synchronous path.
+	// warms it back to full capacity. It is the only path by which a
+	// failed cell returns to service.
 	Reboot RebootPolicy
 	// KernelPagesPerNode are reserved for each cell's kernel (never
 	// shared or loaned). Defaults to 1/4 of each node's pages, leaving
@@ -176,8 +174,6 @@ func Boot(cfg Config) *Hive {
 		Coord: membership.NewCoordinator(cfg.Cells, nodePartition(cfg.Machine.Nodes, cfg.Cells), cfg.Agreement),
 	}
 	h.Trace = trace.NewSet(cfg.Cells, cfg.TraceCap)
-	h.Coord.AutoReintegrate = cfg.AutoReintegrate
-	h.Coord.BrokenHardware = map[int]bool{}
 	h.CellOfNode = make([]int, cfg.Machine.Nodes)
 	nodesPerCell := cfg.Machine.Nodes / cfg.Cells
 	for n := range h.CellOfNode {
@@ -467,7 +463,7 @@ func (c *Cell) shutdownKernel() {
 // The cell does NOT return to the live set and its monitor stays stopped:
 // until a membership join round commits, the fresh image is untrusted —
 // peers only ever see it through the validated RPC boundary. The Rebooter
-// drives Microboot + join; Reboot below is the direct legacy path.
+// drives Microboot + join.
 func (c *Cell) Microboot() {
 	for _, n := range c.Nodes {
 		c.Hive.M.Nodes[n].Repair()
@@ -484,22 +480,6 @@ func (c *Cell) Microboot() {
 		tables[i] = cc.Procs
 	}
 	proc.ConnectTables(tables...)
-}
-
-// Reboot restores a stopped cell to service with a fresh kernel state
-// (reintegration, §4.3) without a join round — the synchronous path used
-// when the harness itself plays recovery master. The hardware is repaired
-// here; the full availability loop (microboot + coordinated join + warm-up)
-// lives in the Rebooter.
-func (c *Cell) Reboot() {
-	c.Microboot()
-	c.Hive.Coord.Reintegrate(c.ID)
-	c.Mon.Start()
-	for _, peer := range c.Hive.Cells {
-		if peer.ID != c.ID && !peer.Failed() {
-			peer.VM.DropPeerState(c.ID)
-		}
-	}
 }
 
 // Now returns the current virtual time.

@@ -229,34 +229,6 @@ func TestCorruptAccuserRule(t *testing.T) {
 	}
 }
 
-func TestReintegrationAfterReboot(t *testing.T) {
-	cfg := testConfig()
-	cfg.AutoReintegrate = true
-	h := Boot(cfg)
-	h.Run(20 * sim.Millisecond)
-	h.Cells[1].FailHardware()
-	if !h.RunUntil(func() bool { return h.Coord.LiveCount() == 3 }, sim.Second) {
-		t.Fatal("failure not confirmed")
-	}
-	// The recovery master repairs the hardware; reboot the cell's kernel.
-	if !h.RunUntil(func() bool { return !h.M.Nodes[1].Failed() }, sim.Second) {
-		t.Fatal("master never repaired the node")
-	}
-	h.Cells[1].Reboot()
-	if h.Coord.LiveCount() != 4 {
-		t.Fatalf("live after reintegration = %d", h.Coord.LiveCount())
-	}
-	// The rebooted cell serves again.
-	ok := false
-	h.Cells[1].Procs.Spawn("hello", 1, func(p *proc.Process, tk *sim.Task) {
-		p.Compute(tk, sim.Millisecond)
-		ok = true
-	})
-	if !h.RunUntil(func() bool { return ok }, sim.Second) {
-		t.Fatal("rebooted cell not running processes")
-	}
-}
-
 func TestRecoveryLatencyInPaperRange(t *testing.T) {
 	h := Boot(testConfig())
 	h.Run(20 * sim.Millisecond)

@@ -48,8 +48,8 @@ func TestScenarioAggregateDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four injection trials")
 	}
-	a := RunScenarioWith(parallel.New(1), NodeFailProcCreate, 2)
-	b := RunScenarioWith(parallel.New(4), NodeFailProcCreate, 2)
+	a := RunScenario(parallel.New(1), NodeFailProcCreate, 2, TrialOpts{})
+	b := RunScenario(parallel.New(4), NodeFailProcCreate, 2, TrialOpts{})
 	if a.AvgDetect != b.AvgDetect || a.MaxDetect != b.MaxDetect || a.AvgRecov != b.AvgRecov || a.AllOK != b.AllOK {
 		t.Fatalf("aggregates diverged:\n-j1: %+v\n-j4: %+v", a, b)
 	}

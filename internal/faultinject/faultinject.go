@@ -859,28 +859,12 @@ type CampaignRow struct {
 	Restore *stats.HistSnapshot `json:",omitempty"`
 }
 
-// RunScenario runs `tests` trials of a scenario and aggregates. Trials fan
-// out across the process-wide parallel runner; see RunScenarioWith.
-func RunScenario(s Scenario, tests int) *CampaignRow {
-	return RunScenarioWith(parallel.Default(), s, tests)
-}
-
-// RunScenarioWith runs `tests` trials of a scenario on r's worker pool and
-// aggregates them in trial order. Each trial boots its own simulation from
-// a seed derived from (scenario, trial), so the aggregate row — averages,
-// maxima, and failure list — is byte-identical at any worker count.
-func RunScenarioWith(r *parallel.Runner, s Scenario, tests int) *CampaignRow {
-	return RunScenarioCellsWith(r, s, tests, 0)
-}
-
-// RunScenarioCellsWith is RunScenarioWith at an explicit Hive size — the
-// scaling campaign's entry point (cells 0 = the paper's 4).
-func RunScenarioCellsWith(r *parallel.Runner, s Scenario, tests, cells int) *CampaignRow {
-	return RunScenarioOptsWith(r, s, tests, TrialOpts{Cells: cells})
-}
-
-// RunScenarioOptsWith runs a scenario's trials with shared TrialOpts.
-func RunScenarioOptsWith(r *parallel.Runner, s Scenario, tests int, opts TrialOpts) *CampaignRow {
+// RunScenario runs `tests` trials of a scenario with shared TrialOpts on
+// r's worker pool and aggregates them in trial order. Each trial boots its
+// own simulation from a seed derived from (scenario, trial), so the
+// aggregate row — averages, maxima, and failure list — is byte-identical
+// at any worker count.
+func RunScenario(r *parallel.Runner, s Scenario, tests int, opts TrialOpts) *CampaignRow {
 	trials := parallel.Map(r, tests, func(i int) *TrialResult {
 		return RunTrialOpts(s, i, opts)
 	})

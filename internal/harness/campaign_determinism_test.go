@@ -29,7 +29,7 @@ func TestCampaignSliceDeterminism(t *testing.T) {
 		r := parallel.New(workers)
 		var rows []*Table74Row
 		for _, s := range scenarios {
-			rows = append(rows, faultinject.RunScenarioWith(r, s, trialsPer))
+			rows = append(rows, faultinject.RunScenario(r, s, trialsPer, faultinject.TrialOpts{}))
 		}
 		return rows, FormatTable74(rows)
 	}

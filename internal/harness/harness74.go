@@ -29,35 +29,7 @@ func RunTable74(scale float64) []*Table74Row {
 		faultinject.CorruptAddrMap,
 		faultinject.CorruptCOWTree,
 	}
-	// Flatten the campaign to (scenario, trial) units so the worker pool
-	// load-balances across scenario boundaries; aggregate per scenario
-	// afterwards in trial order (identical at any worker count).
-	counts := make([]int, len(scenarios))
-	total := 0
-	for i, s := range scenarios {
-		n := int(float64(s.PaperTests())*scale + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		counts[i] = n
-		total += n
-	}
-	trials := parallel.Map(parallel.Default(), total, func(i int) *faultinject.TrialResult {
-		for si, n := range counts {
-			if i < n {
-				return faultinject.RunTrial(scenarios[si], i)
-			}
-			i -= n
-		}
-		panic("unreachable")
-	})
-	var rows []*Table74Row
-	off := 0
-	for si, s := range scenarios {
-		rows = append(rows, faultinject.Aggregate(s, trials[off:off+counts[si]]))
-		off += counts[si]
-	}
-	return rows
+	return runCampaign(scenarios, faultinject.Scenario.PaperTests, scale)
 }
 
 // RunRebootLoop executes the availability-loop campaign: the three reboot
@@ -71,10 +43,18 @@ func RunRebootLoop(scale float64) []*faultinject.CampaignRow {
 		faultinject.CrashLoop,
 		faultinject.RollingReboot,
 	}
+	return runCampaign(scenarios, faultinject.Scenario.DefaultTests, scale)
+}
+
+// runCampaign runs round(tests(s)·scale) trials (at least one) of each
+// scenario. The campaign is flattened to (scenario, trial) units so the
+// worker pool load-balances across scenario boundaries, then aggregated
+// per scenario in trial order (identical at any worker count).
+func runCampaign(scenarios []faultinject.Scenario, tests func(faultinject.Scenario) int, scale float64) []*faultinject.CampaignRow {
 	counts := make([]int, len(scenarios))
 	total := 0
 	for i, s := range scenarios {
-		n := int(float64(s.DefaultTests())*scale + 0.5)
+		n := int(float64(tests(s))*scale + 0.5)
 		if n < 1 {
 			n = 1
 		}

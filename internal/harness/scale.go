@@ -92,7 +92,7 @@ func RunScale(cellCounts []int, trials int) []ScaleRow {
 			return part{oceanSec: res.Elapsed.Seconds()}
 		default:
 			s := scaleScenarios[i%unitsPer-2]
-			return part{row: faultinject.RunScenarioCellsWith(parallel.Default(), s, trials, cells)}
+			return part{row: faultinject.RunScenario(parallel.Default(), s, trials, faultinject.TrialOpts{Cells: cells})}
 		}
 	})
 

@@ -23,10 +23,6 @@ type Coordinator struct {
 	// dead; the cell layer uses it to force the (possibly still
 	// running, corrupt) cell to stop — the consensus-gated reboot.
 	OnDeclaredDead func(cell int)
-	// AutoReintegrate lets the recovery master reboot repaired cells.
-	AutoReintegrate bool
-	// BrokenHardware marks nodes that fail the master's diagnostics.
-	BrokenHardware map[int]bool
 	// OnBarrier1Open, when set (fault injectors), fires once per round at
 	// the moment the first member crosses barrier 1 — the window between
 	// the two recovery barriers the v2 campaign injects faults into.
@@ -166,9 +162,6 @@ func (c *Coordinator) masterOf() int {
 
 // firstNodeOf returns a cell's first node (its clock word's home).
 func (c *Coordinator) firstNodeOf(cell int) int { return c.nodesByCel[cell][0] }
-
-// nodesOf returns a cell's nodes.
-func (c *Coordinator) nodesOf(cell int) []int { return c.nodesByCel[cell] }
 
 // ensureRound joins (or creates) the round for this alert on behalf of
 // cellID. A nil round with retry=false means the alert is stale: its round
@@ -544,9 +537,6 @@ func (c *Coordinator) reintegrate(cell int) {
 		}
 	}
 }
-
-// Reintegrate is the exported form used by the cell reboot path.
-func (c *Coordinator) Reintegrate(cell int) { c.reintegrate(cell) }
 
 // RequestJoin asks the membership layer to re-admit a microbooted cell
 // through a coordinator-led join round. It runs in the reboot

@@ -432,11 +432,12 @@ func (mon *Monitor) runRound(t *sim.Task, r *round) {
 
 	// The round coordinator (the recovery master — lowest live member,
 	// reassigned deterministically if it died mid-round) runs hardware
-	// diagnostics on the failed nodes and, when enabled, reboots and
-	// reintegrates them (§4.3).
+	// diagnostics on each failed cell's nodes (§4.3). Repair and
+	// re-admission are the Rebooter's job (microboot + join round).
 	if r.coordinator == mon.CellID {
-		for _, c := range sortedCells(verdict) {
-			mon.runDiagnostics(t, c)
+		for range len(verdict) {
+			mon.proc().Use(t, DiagnosticsCost)
+			mon.Metrics.Counter("membership.diagnostics").Inc()
 		}
 	}
 	mon.Coord.finishRound(r, mon.CellID)
@@ -527,38 +528,6 @@ func (mon *Monitor) AnnounceJoin(t *sim.Task, seq int) {
 	}
 	join.Await(t)
 	mon.Tracer.End(t.Now(), span, "join:announce", int64(len(peers)))
-}
-
-// runDiagnostics checks a failed cell's nodes and reintegrates when
-// AutoReintegrate is set and the hardware passes.
-func (mon *Monitor) runDiagnostics(t *sim.Task, cell int) {
-	mon.proc().Use(t, DiagnosticsCost)
-	mon.Metrics.Counter("membership.diagnostics").Inc()
-	if !mon.Coord.AutoReintegrate {
-		return
-	}
-	healthy := true
-	for _, n := range mon.Coord.nodesOf(cell) {
-		if mon.Coord.BrokenHardware[n] {
-			healthy = false
-		}
-	}
-	if !healthy {
-		return
-	}
-	for _, n := range mon.Coord.nodesOf(cell) {
-		mon.M.Nodes[n].Repair()
-	}
-	mon.Coord.reintegrate(cell)
-	// Notify peers in cell order: the hooks touch live kernel state, so
-	// map iteration order must not leak into the simulation.
-	for _, id := range sortedMonitorIDs(mon.Coord.monitors) {
-		peer := mon.Coord.monitors[id]
-		if peer.Hooks.Reintegrate != nil && !peer.dead && peer.CellID != cell {
-			peer.Hooks.Reintegrate(cell)
-		}
-	}
-	mon.Metrics.Counter("membership.reintegrations").Inc()
 }
 
 // registerServices installs the alert and ping services.

@@ -37,7 +37,6 @@ func newFixture(t *testing.T, cells int, mode AgreementMode) *fixture {
 		nodesByCell[i] = []int{i}
 	}
 	f := &fixture{e: e, m: m, coord: NewCoordinator(cells, nodesByCell, mode)}
-	f.coord.BrokenHardware = map[int]bool{}
 	for c := 0; c < cells; c++ {
 		ep := rpc.NewEndpoint(m, c, []*machine.Processor{m.Procs[c]}, 2)
 		f.eps = append(f.eps, ep)
@@ -227,56 +226,6 @@ func TestDetectionLatencyBoundedByClockCheck(t *testing.T) {
 	// One clock-check period (2 ticks = 20 ms) plus agreement entry.
 	if d <= 0 || d > 40*sim.Millisecond {
 		t.Fatalf("detection latency = %v", d)
-	}
-}
-
-func TestRecoveryMasterRunsDiagnosticsAndReintegrates(t *testing.T) {
-	f := newFixture(t, 3, Oracle)
-	failed := map[int]bool{}
-	f.coord.OracleFailed = func(c int) bool { return failed[c] }
-	f.coord.AutoReintegrate = true
-	reintegrated := []int{}
-	for c := range f.mons {
-		c := c
-		f.mons[c].Hooks.Reintegrate = func(cell int) {
-			reintegrated = append(reintegrated, cell*10+c)
-		}
-	}
-	f.start()
-	f.e.Run(30 * sim.Millisecond)
-	failed[1] = true
-	f.fail(1)
-	if !f.runUntil(func() bool { return f.coord.LiveCount() == 2 }, sim.Second) {
-		t.Fatal("not confirmed")
-	}
-	failed[1] = false // hardware repaired before diagnostics conclude
-	if !f.runUntil(func() bool { return f.coord.LiveCount() == 3 }, 2*sim.Second) {
-		t.Fatal("never reintegrated")
-	}
-	if f.m.Nodes[1].Failed() {
-		t.Fatal("node not repaired")
-	}
-	if len(reintegrated) == 0 {
-		t.Fatal("peers not told about reintegration")
-	}
-}
-
-func TestBrokenHardwareBlocksReintegration(t *testing.T) {
-	f := newFixture(t, 3, Oracle)
-	failed := map[int]bool{}
-	f.coord.OracleFailed = func(c int) bool { return failed[c] }
-	f.coord.AutoReintegrate = true
-	f.coord.BrokenHardware[1] = true
-	f.start()
-	f.e.Run(30 * sim.Millisecond)
-	failed[1] = true
-	f.fail(1)
-	if !f.runUntil(func() bool { return f.coord.LiveCount() == 2 }, sim.Second) {
-		t.Fatal("not confirmed")
-	}
-	f.e.Run(f.e.Now() + 500*sim.Millisecond)
-	if f.coord.LiveCount() != 2 {
-		t.Fatal("broken hardware was reintegrated")
 	}
 }
 

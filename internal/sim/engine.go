@@ -261,12 +261,6 @@ func (e *Engine) DumpState() string {
 	return b.String()
 }
 
-func (e *Engine) trace(what string) {
-	if e.Trace != nil {
-		e.Trace(e.now, what)
-	}
-}
-
 // Event is a scheduled callback. Events may be cancelled or rescheduled
 // before they fire; both are used to model interrupt time-stealing.
 type Event struct {
