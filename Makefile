@@ -92,8 +92,10 @@ race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/faultinject/...
 
 # bench-engine tracks the simulator's own hot paths (events/sec, allocs).
+# It runs at one P (-cpu 1), the GOMAXPROCS the pmake and frontend host
+# benchmarks run at, since a simulation is one serial engine.
 bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkPending|BenchmarkTask' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkEvent|BenchmarkPending|BenchmarkTask' -benchmem -cpu 1 ./internal/sim/
 
 # bench-report writes the machine-readable experiment report at -j 1.
 # BENCH_hive.json is committed as the tracked baseline; rerun this target

@@ -241,6 +241,9 @@ func RunTrialOpts(s Scenario, trial int, opts TrialOpts) *TrialResult {
 			}
 		}
 	})
+	// Deferred first so it runs last, after the result is read: unwinding
+	// the trial's parked tasks lets the hive be collected.
+	defer h.Eng.Close()
 	res := &TrialResult{Scenario: s, Seed: seed, Cells: cells, TargetCell: 1 + trial%(cells-2)}
 	if s == CoordinatorDeath {
 		// Cell 0 is the coordinator casualty, so the first fault targets

@@ -128,7 +128,6 @@ func DefaultConfig() *Config {
 			"repro/internal/parallel": true, // wall-clock worker pool by design
 		},
 		RawconcAllow: map[string]bool{
-			"repro/internal/sim":      true, // task switching is goroutine-based
 			"repro/internal/parallel": true, // the OS-level worker pool
 			"repro/internal/stats":    true, // lock-free atomic counters
 		},

@@ -184,8 +184,8 @@ func TestAllowlists(t *testing.T) {
 		{"walltime", "repro/internal/parallel", true, walltimeAnalyzer},
 		// cmd/ binaries report wall-clock timing by design.
 		{"walltime", "repro/cmd/hivesim", true, walltimeAnalyzer},
-		// internal/sim and internal/parallel own the raw concurrency.
-		{"rawconc", "repro/internal/sim", true, rawconcAnalyzer},
+		// internal/parallel and internal/stats own the raw concurrency.
+		{"rawconc", "repro/internal/stats", true, rawconcAnalyzer},
 		{"rawconc", "repro/internal/parallel", true, rawconcAnalyzer},
 		// maporder and stablesort only police model packages.
 		{"maporder", "repro/cmd/hivebench", true, maporderAnalyzer},

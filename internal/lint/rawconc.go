@@ -10,12 +10,14 @@ import (
 // tasks, never as raw goroutines, channels or sync primitives. A stray
 // `go` statement in model code races real scheduling against virtual
 // time and destroys run-to-run reproducibility in a way no seed can
-// fix. Only internal/sim (which implements virtual-time tasks on top of
-// goroutines) and internal/parallel (the OS-level trial pool) may touch
-// the raw machinery; they are allowlisted in Config.RawconcAllow.
+// fix. Only internal/parallel (the OS-level trial pool) and internal/stats
+// (lock-free atomic counters) may touch the raw machinery; they are
+// allowlisted in Config.RawconcAllow. internal/sim is not: its tasks are
+// iter.Pull coroutines, which hand control over without a go statement,
+// channel or sync primitive.
 var rawconcAnalyzer = &Analyzer{
 	Name: "rawconc",
-	Doc:  "no go statements, channels, select, or sync outside internal/sim and internal/parallel",
+	Doc:  "no go statements, channels, select, or sync outside internal/parallel and internal/stats",
 	Run:  runRawconc,
 }
 

@@ -1,7 +1,7 @@
 // Fixture for the rawconc analyzer: raw goroutines, channels and sync
-// primitives are confined to internal/sim and internal/parallel. The
-// tests also load this file as repro/internal/sim to prove the
-// allowlist silences every diagnostic.
+// primitives are confined to internal/parallel and internal/stats. The
+// tests also load this file under those paths to prove the allowlist
+// silences every diagnostic.
 package rawconc
 
 import "sync" // want `import of "sync"`

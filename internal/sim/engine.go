@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -106,7 +105,7 @@ func (e *Engine) schedule(t Time, fn func()) *Event {
 	} else {
 		ev = &Event{engine: e, at: t, seq: e.seq, fn: fn, index: -1}
 	}
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	e.nLive++
 	return ev
 }
@@ -168,7 +167,7 @@ func (e *Engine) Run(deadline Time) Time {
 	for !e.stopped && len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled { // lazily-cancelled: discard without firing
-			heap.Pop(&e.events)
+			e.events.pop()
 			if ev.owned {
 				e.recycle(ev)
 			}
@@ -178,7 +177,7 @@ func (e *Engine) Run(deadline Time) Time {
 			e.now = deadline
 			break
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		e.nLive--
 		e.dispatched++
 		e.now = ev.at
@@ -200,7 +199,7 @@ func (e *Engine) Run(deadline Time) Time {
 // Step processes a single event, returning false when the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+		ev := e.events.pop()
 		if ev.cancelled {
 			if ev.owned {
 				e.recycle(ev)
@@ -307,7 +306,7 @@ func (ev *Event) Reschedule(t Time) bool {
 		t = ev.engine.now
 	}
 	ev.at = t
-	heap.Fix(&ev.engine.events, ev.index)
+	ev.engine.events.fix(ev.index)
 	return true
 }
 
@@ -335,46 +334,94 @@ func (e *Engine) compact() {
 		ev.index = i
 	}
 	e.events = keep
-	heap.Init(&e.events)
+	for i := len(keep)/2 - 1; i >= 0; i-- {
+		keep.down(i)
+	}
 }
 
-// eventHeap orders events by (time, sequence), giving FIFO order among
-// simultaneous events — the property that makes runs deterministic.
-// It implements container/heap.Interface.
+// eventHeap is a binary min-heap of events ordered by (time, sequence),
+// giving FIFO order among simultaneous events — the property that makes
+// runs deterministic. Every event in it knows its position (index), which
+// Reschedule and compact rely on; one that has left it has index -1. Its
+// methods are typed rather than container/heap's interface calls because
+// heap upkeep is on the path of every dispatched event.
 type eventHeap []*Event
 
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface: earlier time, then earlier sequence.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b: earlier time, then earlier
+// sequence. Sequence numbers are unique, so the order is total.
+func before(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-// Swap implements heap.Interface.
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
 
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// fix restores the heap order after the event at i changed its time.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+// up moves the event at i toward the root until its parent fires first.
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down moves the event at i toward the leaves until both children fire
+// after it, reporting whether it moved.
+func (h eventHeap) down(i int) bool {
+	n := len(h)
+	ev := h[i]
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }

@@ -95,3 +95,19 @@ func BenchmarkTaskChurn(b *testing.B) {
 	b.ResetTimer()
 	e.Run(0)
 }
+
+// BenchmarkTaskSwitch measures a park/wake round trip: one task sleeping
+// in a loop, each sleep an engine-owned wake event plus a switch into the
+// task's coroutine and back. Run it at -cpu 1, as the pmake and frontend
+// workloads run.
+func BenchmarkTaskSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	e.Go("ping", func(t *Task) {
+		for i := 0; i < b.N; i++ {
+			t.Sleep(10)
+		}
+	})
+	b.ResetTimer()
+	e.Run(0)
+}

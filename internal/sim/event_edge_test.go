@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"sort"
+	"testing"
+	"testing/quick"
+)
 
 // Edge cases for the Event lifecycle under lazy cancellation and the
 // engine-internal freelist: fired events, double cancels, cancel/reschedule
@@ -293,5 +298,81 @@ func TestFreelistReuseKeepsDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at %d: %q vs %q", i, a[i], b[i])
 		}
+	}
+}
+
+// TestPropertyHeapOrderMatchesSort drives the event heap with random
+// schedules, cancels (enough to trigger compact), reschedules and single
+// steps, and checks every event fires in the order of a reference sort by
+// (time, seq): at each Step the earliest live event, and after Run the
+// remaining live events in sorted order.
+func TestPropertyHeapOrderMatchesSort(t *testing.T) {
+	earlier := func(a, b *Event) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		return a.seq < b.seq
+	}
+	compactions := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine(seed)
+		var live, fired []*Event
+		remove := func(ev *Event) {
+			for i, l := range live {
+				if l == ev {
+					live = append(live[:i], live[i+1:]...)
+					return
+				}
+			}
+		}
+		for i, n := 0, 64+rng.Intn(512); i < n; i++ {
+			switch op := rng.Intn(20); {
+			case op < 10 || len(live) == 0:
+				var ev *Event
+				ev = e.At(e.Now()+Time(rng.Intn(100)), func() { fired = append(fired, ev) })
+				live = append(live, ev)
+			case op < 16:
+				ev := live[rng.Intn(len(live))]
+				queued := len(e.events)
+				ev.Cancel()
+				if len(e.events) < queued {
+					compactions++
+				}
+				remove(ev)
+			case op < 19:
+				live[rng.Intn(len(live))].Reschedule(e.Now() + Time(rng.Intn(100)))
+			default:
+				first := live[0]
+				for _, ev := range live[1:] {
+					if earlier(ev, first) {
+						first = ev
+					}
+				}
+				if !e.Step() || fired[len(fired)-1] != first {
+					return false
+				}
+				remove(first)
+			}
+		}
+		want := append([]*Event(nil), live...)
+		sort.SliceStable(want, func(i, j int) bool { return earlier(want[i], want[j]) })
+		fired = fired[:0]
+		e.Run(0)
+		if len(fired) != len(want) || e.Pending() != 0 {
+			return false
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if compactions == 0 {
+		t.Fatal("no run triggered compact")
 	}
 }

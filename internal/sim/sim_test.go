@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEngineRunsEventsInOrder(t *testing.T) {
@@ -152,6 +154,82 @@ func TestTaskKillParked(t *testing.T) {
 	}
 	if !tk.Done() {
 		t.Fatal("task not done")
+	}
+}
+
+// TestTaskKillSelf: a running task that kills itself unwinds on the spot,
+// running its defers and OnKill once, while the other tasks run on and the
+// engine drains.
+func TestTaskKillSelf(t *testing.T) {
+	e := NewEngine(1)
+	defers, kills, steps := 0, 0, 0
+	e.Go("suicide", func(tk *Task) {
+		defer func() { defers++ }()
+		tk.OnKill(func() { kills++ })
+		tk.Sleep(5)
+		tk.Kill()
+		t.Error("task ran past its own Kill")
+	})
+	e.Go("bystander", func(tk *Task) {
+		for i := 0; i < 4; i++ {
+			tk.Sleep(3)
+			steps++
+		}
+	})
+	e.Run(0)
+	if defers != 1 || kills != 1 {
+		t.Fatalf("defers ran %d times, OnKill %d times; want 1 and 1", defers, kills)
+	}
+	if steps != 4 || e.LiveTasks() != 0 || e.Now() != 12 {
+		t.Fatalf("steps=%d live=%d now=%v; want 4, 0, 12ns", steps, e.LiveTasks(), e.Now())
+	}
+}
+
+// TestEngineCloseUnwindsAll leaves tasks parked in every way a finished
+// run can leave them — blocked, never started, in BlockTimeout, queued on
+// a mutex — and checks Close unwinds each exactly once (defers of a started
+// body, OnKill of every task) and that their coroutines exit.
+func TestEngineCloseUnwindsAll(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	defers := map[string]int{}
+	kills := map[string]int{}
+	var m Mutex
+	spawn := func(name string, body func(tk *Task)) {
+		tk := e.Go(name, func(tk *Task) {
+			defer func() { defers[name]++ }()
+			body(tk)
+			t.Errorf("%s returned normally", name)
+		})
+		tk.OnKill(func() { kills[name]++ })
+	}
+	spawn("blocked", func(tk *Task) { tk.Block() })
+	spawn("timeout", func(tk *Task) { tk.BlockTimeout(Second) })
+	spawn("holder", func(tk *Task) { m.Lock(tk); tk.Block() })
+	spawn("waiter", func(tk *Task) { tk.Sleep(1); m.Lock(tk) })
+	e.Run(Millisecond)
+	spawn("unstarted", func(tk *Task) {})
+	if e.LiveTasks() != 5 || runtime.NumGoroutine() < base+5 {
+		t.Fatalf("before Close: live=%d goroutines=%d (base %d)", e.LiveTasks(), runtime.NumGoroutine(), base)
+	}
+	e.Close()
+	if e.LiveTasks() != 0 {
+		t.Fatalf("LiveTasks = %d after Close", e.LiveTasks())
+	}
+	for _, name := range []string{"blocked", "timeout", "holder", "waiter", "unstarted"} {
+		want := 1
+		if name == "unstarted" {
+			want = 0 // its body never ran, so it deferred nothing
+		}
+		if defers[name] != want || kills[name] != 1 {
+			t.Errorf("%s: defers ran %d times, OnKill %d times; want %d and 1", name, defers[name], kills[name], want)
+		}
+	}
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines = %d after Close, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -562,6 +640,19 @@ func TestTaskPanicPropagates(t *testing.T) {
 	t.Fatal("expected panic")
 }
 
+// TestCloseAfterTaskPanic: Close on an engine whose Run re-raised a task
+// panic returns quietly, so a deferred Close cannot replace that panic.
+func TestCloseAfterTaskPanic(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("bad", func(tk *Task) { panic("boom") })
+	e.Go("parked", func(tk *Task) { tk.Block() })
+	func() {
+		defer func() { _ = recover() }()
+		e.Run(0)
+	}()
+	e.Close()
+}
+
 func TestSleepEventSteal(t *testing.T) {
 	e := NewEngine(1)
 	var ev *Event
@@ -665,18 +756,6 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 		}
 	}
 	e.After(100, tick)
-	b.ResetTimer()
-	e.Run(0)
-}
-
-// BenchmarkTaskSwitch measures a park/wake round trip between two tasks.
-func BenchmarkTaskSwitch(b *testing.B) {
-	e := NewEngine(1)
-	e.Go("ping", func(t *Task) {
-		for i := 0; i < b.N; i++ {
-			t.Sleep(10)
-		}
-	})
 	b.ResetTimer()
 	e.Run(0)
 }

@@ -1,11 +1,15 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// killedPanic is thrown inside a task goroutine when the task is killed
-// (e.g. its processor's node suffered a fail-stop fault). It unwinds the
-// task's stack, running deferred cleanup, and is swallowed by the task
-// wrapper.
+// killedPanic is thrown inside a task when the task is killed (e.g. its
+// processor's node suffered a fail-stop fault). It unwinds the task's
+// stack, running deferred cleanup, and is swallowed by the task wrapper.
 type killedPanic struct{ name string }
 
 // String names the sentinel for diagnostics.
@@ -18,18 +22,18 @@ type taskFailure struct {
 	val  any
 }
 
-// Task is a simulated thread of control: a goroutine that runs only when the
-// engine hands it the virtual CPU and that blocks by parking in virtual time.
-// Kernel code, simulated user processes, interrupt service threads, and the
-// Wax policy process are all Tasks.
+// Task is a simulated thread of control: a coroutine (iter.Pull) that runs
+// only when the engine hands it the virtual CPU and that blocks by parking
+// in virtual time. Kernel code, simulated user processes, interrupt service
+// threads, and the Wax policy process are all Tasks.
 type Task struct {
 	eng      *Engine
 	name     string
-	resume   chan struct{}
-	yield    chan struct{}
+	next     func() (struct{}, bool) // resumes the coroutine until it parks or finishes
+	yield    func(struct{}) bool     // suspends the coroutine; called only from inside it
+	wakeFn   func()                  // t.wake(false), bound once so sleeps allocate nothing
 	done     bool
 	parked   bool
-	started  bool
 	killed   bool
 	timedOut bool
 	liveIdx  int // position in eng.live, for O(1) removal on exit
@@ -46,35 +50,21 @@ type Task struct {
 // Go starts fn as a new task named name. The task begins running at the
 // current virtual time (after already-scheduled events for this instant).
 func (e *Engine) Go(name string, fn func(t *Task)) *Task {
-	t := &Task{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	t := &Task{eng: e, name: name}
+	t.wakeFn = func() { t.wake(false) }
 	e.nTasks++
 	t.liveIdx = len(e.live)
 	e.live = append(e.live, t)
-	go func() {
-		<-t.resume // wait for first dispatch
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); !ok {
-					t.eng.failure = taskFailure{name: t.name, val: r}
-				}
-			}
-			t.done = true
-			t.eng.nTasks--
-			for _, f := range t.onKill {
-				f()
-			}
-			t.yield <- struct{}{}
-		}()
+	// The stop function is never needed: a coroutine only ends by running
+	// to completion, which Kill and Engine.Close force through killedPanic.
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		defer t.exit()
 		if t.killed {
 			panic(killedPanic{t.name})
 		}
 		fn(t)
-	}()
+	})
 	e.atOwned(e.now, func() {
 		if !t.done {
 			e.dispatch(t)
@@ -83,17 +73,31 @@ func (e *Engine) Go(name string, fn func(t *Task)) *Task {
 	return t
 }
 
+// exit is the task's outermost deferred call, run on the task side of the
+// switch: it swallows the kill sentinel, records a genuine panic for the
+// engine to re-raise, and runs the OnKill callbacks.
+func (t *Task) exit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(killedPanic); !ok {
+			t.eng.failure = taskFailure{name: t.name, val: r}
+		}
+	}
+	t.done = true
+	t.eng.nTasks--
+	for _, f := range t.onKill {
+		f()
+	}
+}
+
 // dispatch hands the virtual CPU to t until it parks or finishes. It must be
 // called from engine context (inside an event callback).
 func (e *Engine) dispatch(t *Task) {
 	prev := e.cur
 	e.cur = t
-	t.started = true
 	if e.Trace != nil {
 		e.Trace(e.now, "run "+t.name)
 	}
-	t.resume <- struct{}{}
-	<-t.yield
+	t.next()
 	e.cur = prev
 	if e.failure != nil {
 		f := e.failure.(taskFailure)
@@ -101,6 +105,25 @@ func (e *Engine) dispatch(t *Task) {
 	}
 	if t.done {
 		e.removeLive(t)
+	}
+}
+
+// Close unwinds every live task through the kill path: each is marked
+// killed and dispatched, so its defers and OnKill callbacks run and its
+// coroutine exits. A parked coroutine is a GC root, so an engine whose
+// tasks were left parked keeps everything they reference reachable; Close
+// releases it. Call Close once Run has returned and the results have been
+// read; the engine must not be run again. An engine whose task panicked is
+// left as it is, so the panic Run raised is the one the caller sees.
+func (e *Engine) Close() {
+	if e.failure != nil {
+		return
+	}
+	for len(e.live) > 0 {
+		t := e.live[len(e.live)-1]
+		t.killed = true
+		t.parked = false
+		e.dispatch(t)
 	}
 }
 
@@ -136,14 +159,13 @@ func (t *Task) Done() bool { return t.done }
 func (t *Task) Killed() bool { return t.killed }
 
 // park suspends the task until another party calls wake. Must be called from
-// the task's own goroutine while it holds the virtual CPU.
+// the task itself while it holds the virtual CPU.
 func (t *Task) park() {
 	if t.killed {
 		panic(killedPanic{t.name})
 	}
 	t.parked = true
-	t.yield <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 	if t.killed {
 		panic(killedPanic{t.name})
 	}
@@ -164,7 +186,7 @@ func (t *Task) wake(timedOut bool) {
 // Safe to call from any simulation context. Waking a task that is not parked
 // is a no-op.
 func (t *Task) WakeSoon() {
-	t.eng.atOwned(t.eng.now, func() { t.wake(false) })
+	t.eng.atOwned(t.eng.now, t.wakeFn)
 }
 
 // Sleep suspends the task for d nanoseconds of virtual time.
@@ -173,7 +195,7 @@ func (t *Task) Sleep(d Time) {
 		// Yield: reschedule self after simultaneous events.
 		d = 0
 	}
-	t.eng.atOwned(t.eng.now+d, func() { t.wake(false) })
+	t.eng.atOwned(t.eng.now+d, t.wakeFn)
 	t.park()
 }
 
@@ -182,7 +204,7 @@ func (t *Task) Sleep(d Time) {
 // time-stealing) while the task sleeps. The exposed event is never recycled,
 // so holding the pointer past the sleep is safe.
 func (t *Task) SleepEvent(d Time, register func(*Event)) {
-	ev := t.eng.After(d, func() { t.wake(false) })
+	ev := t.eng.After(d, t.wakeFn)
 	if register != nil {
 		register(ev)
 	}
